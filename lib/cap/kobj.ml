@@ -75,20 +75,36 @@ let id = function
   | Notification n -> n.nt_id
   | Irq_notification i -> i.irq_id
 
+(* The per-system mutation log: every object touched since the checkpoint
+   walk last drained it (deduplicated by id), and an epoch bumped whenever
+   a capability-tree edge is added or removed.  Between two epoch bumps
+   the set of reachable objects cannot change, which is what lets the walk
+   visit only the dirty set instead of the whole tree. *)
+type log = { dirty : (int, t) Hashtbl.t; mutable edge_epoch : int }
+
+let create_log () = { dirty = Hashtbl.create 64; edge_epoch = 0 }
+let edge_epoch log = log.edge_epoch
+let note_edge log = log.edge_epoch <- log.edge_epoch + 1
+let iter_dirty f log = Hashtbl.iter (fun _ obj -> f obj) log.dirty
+let clear_dirty log = Hashtbl.reset log.dirty
+
 (* Generation epochs: every mutation of checkpointable object state bumps
-   the object's generation through {!touch}.  The incremental walk compares
-   an object's generation against the one recorded at its last checkpoint
-   (ORoot-side) and skips snapshot/copy/charge when they match, so the
-   bump must be placed on every state-mutating path — the constructors and
-   cap-slot operations below, plus the kernel/IPC mutators. *)
-let touch = function
+   the object's generation through {!touch}, which also enters the object
+   into the system's dirty set.  The walk compares an object's generation
+   against the one recorded at its last checkpoint (ORoot-side) and skips
+   snapshot/copy/charge when they match, so the bump must be placed on
+   every state-mutating path — the cap-slot and edge operations below,
+   plus the kernel/IPC mutators. *)
+let touch log obj =
+  (match obj with
   | Cap_group g -> g.cg_gen <- g.cg_gen + 1
   | Thread th -> th.th_gen <- th.th_gen + 1
   | Vmspace vs -> vs.vs_gen <- vs.vs_gen + 1
   | Pmo p -> p.pmo_gen <- p.pmo_gen + 1
   | Ipc_conn c -> c.ic_gen <- c.ic_gen + 1
   | Notification n -> n.nt_gen <- n.nt_gen + 1
-  | Irq_notification i -> i.irq_gen <- i.irq_gen + 1
+  | Irq_notification i -> i.irq_gen <- i.irq_gen + 1);
+  Hashtbl.replace log.dirty (id obj) obj
 
 let gen = function
   | Cap_group g -> g.cg_gen
@@ -156,7 +172,7 @@ let make_ipc_conn ~id = { ic_id = id; ic_server = None; ic_shared = None; ic_cal
 let make_notification ~id = { nt_id = id; nt_count = 0; nt_waiters = []; nt_gen = 1 }
 let make_irq_notification ~id ~line = { irq_id = id; irq_line = line; irq_pending = 0; irq_gen = 1 }
 
-let install g cap =
+let install log g cap =
   let len = Array.length g.cg_slots in
   let rec find i = if i >= len then -1 else if g.cg_slots.(i) = None then i else find (i + 1) in
   let slot = find 0 in
@@ -171,10 +187,11 @@ let install g cap =
   in
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;
-  touch (Cap_group g);
+  touch log (Cap_group g);
+  note_edge log;
   slot
 
-let install_at g slot cap =
+let install_at log g slot cap =
   if slot < 0 then invalid_arg "Kobj.install_at: negative slot";
   let len = Array.length g.cg_slots in
   if slot >= len then begin
@@ -185,24 +202,45 @@ let install_at g slot cap =
   if g.cg_slots.(slot) <> None then invalid_arg "Kobj.install_at: slot occupied";
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;
-  touch (Cap_group g)
+  touch log (Cap_group g);
+  note_edge log
 
 let lookup g slot =
   if slot < 0 || slot >= Array.length g.cg_slots then None else g.cg_slots.(slot)
 
-let revoke g slot =
+let revoke log g slot =
   match lookup g slot with
   | None -> invalid_arg "Kobj.revoke: empty slot"
   | Some _ ->
     g.cg_slots.(slot) <- None;
     g.cg_used <- g.cg_used - 1;
-    touch (Cap_group g)
+    touch log (Cap_group g);
+    note_edge log
+
+let set_regions log vs regions =
+  vs.vs_regions <- regions;
+  touch log (Vmspace vs);
+  note_edge log
+
+let connect log c ~server ~shared =
+  c.ic_server <- server;
+  c.ic_shared <- shared;
+  touch log (Ipc_conn c);
+  note_edge log
 
 let iter_caps f g =
   Array.iteri (fun i slot -> match slot with Some c -> f i c | None -> ()) g.cg_slots
 
 let caps_count g = g.cg_used
 let slots_len g = Array.length g.cg_slots
+
+let iter_children f = function
+  | Cap_group g -> iter_caps (fun _ c -> f c.target) g
+  | Vmspace vs -> List.iter (fun r -> f (Pmo r.vr_pmo)) vs.vs_regions
+  | Ipc_conn c -> (
+    (match c.ic_server with Some th -> f (Thread th) | None -> ());
+    match c.ic_shared with Some p -> f (Pmo p) | None -> ())
+  | Thread _ | Pmo _ | Notification _ | Irq_notification _ -> ()
 
 let iter_tree ~root f =
   let seen = Hashtbl.create 256 in
@@ -211,13 +249,7 @@ let iter_tree ~root f =
     if not (Hashtbl.mem seen oid) then begin
       Hashtbl.add seen oid ();
       f obj;
-      match obj with
-      | Cap_group g -> iter_caps (fun _ c -> visit c.target) g
-      | Vmspace vs -> List.iter (fun r -> visit (Pmo r.vr_pmo)) vs.vs_regions
-      | Ipc_conn c -> (
-        (match c.ic_server with Some th -> visit (Thread th) | None -> ());
-        match c.ic_shared with Some p -> visit (Pmo p) | None -> ())
-      | Thread _ | Pmo _ | Notification _ | Irq_notification _ -> ()
+      iter_children visit obj
     end
   in
   visit (Cap_group root)

@@ -91,12 +91,26 @@ and irq_notification = {
 val id : t -> int
 val kind : t -> kind
 
-(** {2 Generation epochs (incremental checkpoint walk)} *)
+(** {2 Mutation log (incremental checkpoint walk)} *)
 
-val touch : t -> unit
-(** Bump the object's generation.  Must be called after every mutation of
-    checkpointable state; the provided helpers ({!install}, {!revoke}, the
-    kernel and IPC mutators) do so themselves — call it directly only when
+type log
+(** One per system, owned by the kernel: the dirty set (objects touched
+    since the checkpoint walk last cleared it, deduplicated by id) and the
+    edge epoch (bumped whenever a capability-tree edge is added or
+    removed: cap install/revoke, VM-region and IPC-endpoint updates).
+    While the epoch stands still the set of reachable objects cannot
+    change, so the walk may visit the dirty set alone. *)
+
+val create_log : unit -> log
+val edge_epoch : log -> int
+val iter_dirty : (t -> unit) -> log -> unit
+val clear_dirty : log -> unit
+
+val touch : log -> t -> unit
+(** Bump the object's generation and enter it into the dirty set.  Must
+    be called after every mutation of checkpointable state; the provided
+    helpers ({!install}, {!revoke}, {!set_regions}, {!connect}, the kernel
+    and IPC mutators) do so themselves — call it directly only when
     assigning record fields by hand. *)
 
 val gen : t -> int
@@ -124,21 +138,35 @@ val make_ipc_conn : id:int -> ipc_conn
 val make_notification : id:int -> notification
 val make_irq_notification : id:int -> line:int -> irq_notification
 
-(** {2 Cap-group operations} *)
+(** {2 Cap-group and edge operations}
 
-val install : cap_group -> cap -> int
+    Each edge operation touches the source object and bumps the edge
+    epoch. *)
+
+val install : log -> cap_group -> cap -> int
 (** Install a capability in the first free slot; returns the slot. *)
 
-val install_at : cap_group -> int -> cap -> unit
+val install_at : log -> cap_group -> int -> cap -> unit
 (** Install at a specific slot (restore path; slot must be free). *)
 
 val lookup : cap_group -> int -> cap option
-val revoke : cap_group -> int -> unit
+val revoke : log -> cap_group -> int -> unit
+
+val set_regions : log -> vmspace -> vm_region list -> unit
+(** Replace a VM space's region list. *)
+
+val connect : log -> ipc_conn -> server:thread option -> shared:pmo option -> unit
+(** Set an IPC connection's server thread and shared buffer. *)
+
 val iter_caps : (int -> cap -> unit) -> cap_group -> unit
 val caps_count : cap_group -> int
 val slots_len : cap_group -> int
 
 (** {2 Traversal} *)
+
+val iter_children : (t -> unit) -> t -> unit
+(** The object's outgoing edges, in walk order: cap slots, then VM regions'
+    PMOs, then an IPC connection's server thread and shared buffer. *)
 
 val iter_tree : root:cap_group -> (t -> unit) -> unit
 (** Visit every object reachable from [root] exactly once (the tree can

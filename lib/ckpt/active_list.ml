@@ -56,6 +56,10 @@ let drop t e =
     Hashtbl.remove t.index (e.e_pmo.Kobj.pmo_id, e.e_pno)
   end
 
+let forget t dead =
+  List.iter (fun e -> if dead e.e_pmo.Kobj.pmo_id then drop t e) t.list;
+  Hashtbl.filter_map_inplace (fun (id, _) h -> if dead id then None else Some h) t.hotness
+
 let compact t = t.list <- List.filter (fun e -> e.e_live) t.list
 
 let clear t =

@@ -47,6 +47,11 @@ val cached_count : t -> int
 val drop : t -> entry -> unit
 (** Demotion: remove from the list and clear hotness. *)
 
+val forget : t -> (int -> bool) -> unit
+(** Drop the entries and hotness counts of every PMO whose id the
+    predicate accepts (the PMO left the tree; its ORoot is being
+    collected). *)
+
 val compact : t -> unit
 (** Remove dead entries from the backing list (called once per checkpoint). *)
 

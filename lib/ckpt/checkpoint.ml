@@ -17,79 +17,7 @@ let now st = Clock.now (Kernel.clock st.State.kernel)
 let archive_page st pmo pno paddr =
   match st.State.page_archive_hook with Some h -> h pmo pno paddr | None -> ()
 
-(* vpn -> (pmo, page index) within a VM space.
-
-   Regions are kept in an interval index sorted by start vpn so a lookup is
-   a binary search instead of a scan of the whole region list (the protect
-   pass resolves every dirty vpn, so this is on the STW path).  The index
-   is cached per VM space and rebuilt whenever the region list changes —
-   detected by physical identity of the (immutable-once-replaced) list, so
-   a stale hit is impossible.  When regions overlap, the original code
-   returned the first match in list order; the index preserves that by
-   remembering each region's list position and scanning left from the
-   binary-search point while the running max end vpn still covers the
-   query. *)
-type region_index = {
-  ri_list : Kobj.vm_region list;  (* identity token for invalidation *)
-  ri_sorted : (Kobj.vm_region * int) array;  (* by vr_vpn, with list position *)
-  ri_max_end : int array;  (* ri_max_end.(i) = max end vpn over ri_sorted.(0..i) *)
-}
-
-let region_cache : (int, region_index) Hashtbl.t = Hashtbl.create 64
-
-let build_region_index vms =
-  let arr = Array.of_list (List.mapi (fun i r -> (r, i)) vms.Kobj.vs_regions) in
-  Array.sort
-    (fun ((a : Kobj.vm_region), ia) (b, ib) ->
-      match compare a.Kobj.vr_vpn b.Kobj.vr_vpn with 0 -> compare ia ib | c -> c)
-    arr;
-  let max_end = Array.make (Array.length arr) 0 in
-  let run = ref 0 in
-  Array.iteri
-    (fun i ((r : Kobj.vm_region), _) ->
-      run := max !run (r.Kobj.vr_vpn + r.Kobj.vr_pages);
-      max_end.(i) <- !run)
-    arr;
-  { ri_list = vms.Kobj.vs_regions; ri_sorted = arr; ri_max_end = max_end }
-
-let region_index vms =
-  match Hashtbl.find_opt region_cache vms.Kobj.vs_id with
-  | Some idx when idx.ri_list == vms.Kobj.vs_regions -> idx
-  | Some _ | None ->
-    let idx = build_region_index vms in
-    Hashtbl.replace region_cache vms.Kobj.vs_id idx;
-    idx
-
-let resolve_region vms vpn =
-  let idx = region_index vms in
-  let arr = idx.ri_sorted in
-  let n = Array.length arr in
-  (* rightmost entry starting at or before vpn *)
-  let last = ref (-1) in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r, _ = arr.(mid) in
-    if r.Kobj.vr_vpn <= vpn then begin
-      last := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  let best = ref None in
-  let i = ref !last in
-  while !i >= 0 && idx.ri_max_end.(!i) > vpn do
-    let r, pos = arr.(!i) in
-    if vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages then begin
-      match !best with
-      | Some (_, best_pos) when best_pos <= pos -> ()
-      | Some _ | None -> best := Some (r, pos)
-    end;
-    decr i
-  done;
-  match !best with
-  | Some (r, _) -> Some (r.Kobj.vr_pmo, vpn - r.Kobj.vr_vpn)
-  | None -> None
+let resolve_region = Live_index.resolve_region
 
 (* Charge the cost of copying one object's own state into its backup. A
    full (first-time) checkpoint additionally pays allocation and structure
@@ -105,7 +33,7 @@ let charge_object_copy st obj ~full =
 
 (* Checkpoint one object (step 2). Returns true if it was a full (first)
    checkpoint. *)
-let checkpoint_object st obj ~new_ver =
+let checkpoint_object st index obj ~new_ver =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let c = Store.cost store in
@@ -145,7 +73,7 @@ let checkpoint_object st obj ~new_ver =
     let pt = Kernel.pagetable kernel vms in
     let protected_n =
       Pagetable.protect_dirty pt (fun vpn pte ->
-          (match resolve_region vms vpn with
+          (match Live_index.resolve index vms vpn with
           | Some (pmo, pno) -> archive_page st pmo pno pte.Pagetable.paddr
           | None -> ());
           if Paddr.is_dram pte.Pagetable.paddr then false
@@ -179,9 +107,12 @@ let hybrid_sublist st ~new_ver entries counters =
   List.iter
     (fun (e : Active_list.entry) ->
       let pmo = e.Active_list.e_pmo and pno = e.Active_list.e_pno in
-      match Radix.get pmo.Kobj.pmo_radix pno with
-      | None -> Active_list.drop st.State.active e
-      | Some runtime ->
+      (* every live PMO has its ORoot by now (the walk ran first); a PMO
+         without one left the tree and its ORoot was collected *)
+      let oroot = Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id in
+      match (Radix.get pmo.Kobj.pmo_radix pno, oroot) with
+      | None, _ | _, None -> Active_list.drop st.State.active e
+      | Some runtime, Some oroot ->
         if not e.Active_list.e_dram then begin
           (* newly appended: NVM -> DRAM migration (swapped-out pages wait
              until a fault brings them back to NVM) *)
@@ -190,7 +121,6 @@ let hybrid_sublist st ~new_ver entries counters =
           match Store.alloc_dram_page store with
           | None -> () (* DRAM cache full; stay on NVM *)
           | Some dram ->
-            let oroot, _ = State.oroot_for st (Kobj.Pmo pmo) ~version:new_ver in
             let pages = Oroot.pages_exn oroot in
             ignore (Ckpt_page.ensure store pages ~pno ~born_ver:new_ver);
             Store.copy_page store ~src:runtime ~dst:dram;
@@ -226,7 +156,6 @@ let hybrid_sublist st ~new_ver entries counters =
             | Some _ | None -> ())
         end
         else begin
-          let oroot, _ = State.oroot_for st (Kobj.Pmo pmo) ~version:new_ver in
           let pages = Oroot.pages_exn oroot in
           if Kernel.page_dirty kernel pmo ~pno then begin
             if async_on st then begin
@@ -275,35 +204,10 @@ let hybrid_sublist st ~new_ver entries counters =
         end)
     entries
 
-(* An ORoot is dead when this walk's traversal did not reach its object.
-   Keyed on the visited set rather than last_seen_ver because the
-   incremental walk leaves the last_seen_ver of skipped (but live)
-   objects stale on purpose. *)
-let gc_dead_oroots st ~visited =
-  let kernel = st.State.kernel in
-  let store = Kernel.store kernel in
-  let dead =
-    Hashtbl.fold
-      (fun oid (o : Oroot.t) acc -> if not (Hashtbl.mem visited oid) then (oid, o) :: acc else acc)
-      st.State.oroots []
-  in
-  List.iter
-    (fun (oid, (o : Oroot.t)) ->
-      (match o.Oroot.pages with
-      | Some pages ->
-        (* The object left the tree before this (now committed) checkpoint,
-           so nothing can roll back to a state containing it any more: free
-           its backup frames and its runtime frames (reachable through the
-           runtime pointer the ORoot keeps). *)
-        let runtime_of pno =
-          match o.Oroot.runtime with
-          | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
-          | Some _ | None -> None
-        in
-        Ckpt_page.free_all store pages ~runtime_of
-      | None -> ());
-      Hashtbl.remove st.State.oroots oid)
-    dead
+(* An ORoot is dead when its object left the tree.  Objects only leave
+   through an edge change, which makes the next walk rebuild the live
+   index, so only a commit whose walk rebuilt it can find dead ORoots. *)
+let gc_dead_oroots st index = ignore (State.gc_dead_oroots st ~live:(Live_index.is_live index))
 
 (* Post-commit probe tail, shared by the eager path (inside [run]) and the
    drain settle: counters/gauges for the committed version, wear telemetry,
@@ -392,7 +296,7 @@ let drain_copies st (p : Drain.pending) ~limit =
 
 (* The settle step: the backlog is empty — apply the CoW restamps and
    drain-saved frames, bump the version (THE atomic commit, deferred from
-   the STW), run the dead-ORoot GC against the walk's visited set, and
+   the STW), run the dead-ORoot GC if the walk rebuilt the live index, and
    release everything that waited on durability: the extsync callbacks,
    the wear/WAF accounting, the commit probes and the black-box sample. *)
 let settle_commit st (p : Drain.pending) =
@@ -408,7 +312,7 @@ let settle_commit st (p : Drain.pending) =
   Crash_site.hit "ckpt.drain.settled";
   Global_meta.commit_checkpoint meta;
   Crash_site.hit "ckpt.version_bump";
-  gc_dead_oroots st ~visited:p.Drain.p_visited;
+  Option.iter (gc_dead_oroots st) p.Drain.p_live;
   Crash_site.hit "ckpt.gc_done";
   Drain.clear_pending drain;
   Probe.span_at "ckpt.drain" ~ts_ns:p.Drain.p_stw_t1 ~dur_ns:(now st - p.Drain.p_stw_t1)
@@ -553,54 +457,6 @@ let run st =
   let walk_tok = Probe.enter "ckpt.captree" in
   let walk0 = now st in
   let per_kind = Hashtbl.create 8 in
-  (* Owner map for subtree attribution: object id -> owning process name.
-     First process wins for objects shared across cap groups (e.g. IPC
-     connections installed in both ends); everything reachable only from
-     the root (boot services' parents, the root group itself) stays
-     "kernel".  Host-time bookkeeping only — no simulated cost; cached
-     across checkpoints and invalidated by the kernel's process epoch so
-     the per-process tree walks don't repeat while the process population
-     is unchanged.  Objects created since the cache was built (same
-     processes, new caps) miss the table and are attributed on demand. *)
-  let owner =
-    let epoch = Kernel.procs_epoch kernel in
-    match st.State.owner_cache with
-    | Some o when st.State.owner_cache_epoch = epoch -> o
-    | Some _ | None ->
-      let owner = Hashtbl.create 1024 in
-      List.iter
-        (fun (p : Kernel.process) ->
-          Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
-              let oid = Kobj.id obj in
-              if not (Hashtbl.mem owner oid) then Hashtbl.add owner oid p.Kernel.pname))
-        (Kernel.processes kernel);
-      st.State.owner_cache <- Some owner;
-      st.State.owner_cache_epoch <- epoch;
-      owner
-  in
-  let owner_of oid =
-    match Hashtbl.find_opt owner oid with
-    | Some name -> name
-    | None ->
-      (* cache built before this object existed: find its process without
-         a full walk, and memoize the answer either way *)
-      let name =
-        let found = ref None in
-        (try
-           List.iter
-             (fun (p : Kernel.process) ->
-               Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
-                   if Kobj.id obj = oid then begin
-                     found := Some p.Kernel.pname;
-                     raise Exit
-                   end))
-             (Kernel.processes kernel)
-         with Exit -> ());
-        Option.value ~default:"kernel" !found
-      in
-      Hashtbl.add owner oid name;
-      name
-  in
   (* group name -> (ns, objects, per-kind ns) *)
   let per_group : (string, int ref * int ref * (Kobj.kind, int) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
@@ -611,52 +467,69 @@ let run st =
       (fun acc p -> acc + Pagetable.dirty_count (Kernel.pagetable kernel p.Kernel.vms))
       0 (Kernel.processes kernel)
   in
-  (* Incremental walk: an object whose generation still matches the one
-     recorded at its last checkpoint has not been mutated, so its backups
-     are already current — skip snapshot/copy/charge entirely.  The
-     traversal itself is host-time only, and the visited set it builds
-     doubles as the liveness epoch: ORoots of unreached objects are the
-     dead ones, so skipped objects need no per-object liveness write. *)
+  (* Dirty-set walk.  The live index (live set, DFS order, owners) is
+     rebuilt by one traversal only when the tree's edges changed since it
+     was built, or after boot and restore; otherwise the candidates are the
+     kernel's dirty set restricted to live objects, in cached DFS order.
+     Eager walks (the ablation, and the resync after boot/restore) and
+     rebuild commits seed the candidates with every live object.  Either
+     way an object whose generation still matches the one recorded at its
+     last checkpoint is skipped: its backups are already current.  All of
+     this is host-side bookkeeping; the simulated cost is the per-object
+     copy charge of the objects actually checkpointed. *)
+  let log = Kernel.log kernel in
+  let index, rebuilt =
+    match st.State.index with
+    | Some index when (not st.State.force_full) && Live_index.epoch index = Kobj.edge_epoch log ->
+      (index, false)
+    | Some _ | None ->
+      let index = Live_index.build kernel in
+      st.State.index <- Some index;
+      (index, true)
+  in
   let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
-  let visited = Hashtbl.create 512 in
-  let skipped = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
-  Kobj.iter_tree ~root:(Kernel.root kernel) (fun obj ->
-      let oid = Kobj.id obj in
-      Hashtbl.replace visited oid ();
-      let clean =
-        incremental
-        && (match Hashtbl.find_opt st.State.oroots oid with
-           | Some o -> o.Oroot.saved_gen = Kobj.gen obj
-           | None -> false)
+  let visit obj =
+    let clean =
+      incremental
+      &&
+      match Hashtbl.find_opt st.State.oroots (Kobj.id obj) with
+      | Some o -> o.Oroot.saved_gen = Kobj.gen obj
+      | None -> false
+    in
+    if not clean then begin
+      let t_obj0 = now st in
+      let full, bytes = checkpoint_object st index obj ~new_ver in
+      Crash_site.hit "ckpt.captree.obj";
+      let dt = now st - t_obj0 in
+      incr objects;
+      if full then incr fulls;
+      snap_bytes := !snap_bytes + bytes;
+      let kind = Kobj.kind obj in
+      Hashtbl.replace per_kind kind (dt + Option.value ~default:0 (Hashtbl.find_opt per_kind kind));
+      let gname = Live_index.owner index (Kobj.id obj) in
+      Probe.instant_v "ckpt.obj" ~args:[ ("id", string_of_int (Kobj.id obj)); ("group", gname) ];
+      let g_ns, g_objs, g_kinds =
+        match Hashtbl.find_opt per_group gname with
+        | Some g -> g
+        | None ->
+          let g = (ref 0, ref 0, Hashtbl.create 8) in
+          Hashtbl.add per_group gname g;
+          g
       in
-      if clean then incr skipped
-      else begin
-        let t_obj0 = now st in
-        let full, bytes = checkpoint_object st obj ~new_ver in
-        Crash_site.hit "ckpt.captree.obj";
-        let dt = now st - t_obj0 in
-        incr objects;
-        if full then incr fulls;
-        snap_bytes := !snap_bytes + bytes;
-        let kind = Kobj.kind obj in
-        Hashtbl.replace per_kind kind
-          (dt + Option.value ~default:0 (Hashtbl.find_opt per_kind kind));
-        let gname = owner_of oid in
-        let g_ns, g_objs, g_kinds =
-          match Hashtbl.find_opt per_group gname with
-          | Some g -> g
-          | None ->
-            let g = (ref 0, ref 0, Hashtbl.create 8) in
-            Hashtbl.add per_group gname g;
-            g
-        in
-        g_ns := !g_ns + dt;
-        incr g_objs;
-        Hashtbl.replace g_kinds kind (dt + Option.value ~default:0 (Hashtbl.find_opt g_kinds kind));
-        let cost_stats = State.obj_cost st kind in
-        Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt)
-      end));
+      g_ns := !g_ns + dt;
+      incr g_objs;
+      Hashtbl.replace g_kinds kind (dt + Option.value ~default:0 (Hashtbl.find_opt g_kinds kind));
+      let cost_stats = State.obj_cost st kind in
+      Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt)
+    end
+  in
+  Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
+      if incremental && not rebuilt then List.iter visit (Live_index.live_dirty index log)
+      else Array.iter visit (Live_index.order index));
+  (* cleared only once the walk is through: a walk cut short by a crash
+     site leaves the set whole *)
+  Kobj.clear_dirty log;
+  let skipped = Live_index.size index - !objects in
   st.State.force_full <- false;
   let walk_ns = now st - walk0 in
   Probe.exit walk_tok
@@ -664,7 +537,7 @@ let run st =
       [
         ("objects", string_of_int !objects);
         ("full", string_of_int !fulls);
-        ("skipped", string_of_int !skipped);
+        ("skipped", string_of_int skipped);
         ("snapshot_bytes", string_of_int !snap_bytes);
       ];
   Crash_site.hit "ckpt.captree.done";
@@ -719,7 +592,7 @@ let run st =
   if enqueued = 0 then begin
     Global_meta.commit_checkpoint meta;
     Crash_site.hit "ckpt.version_bump";
-    gc_dead_oroots st ~visited;
+    if rebuilt then gc_dead_oroots st index;
     Crash_site.hit "ckpt.gc_done"
   end;
   Store.charge store (Store.cost store).Cost.tlb_shootdown_ns;
@@ -753,7 +626,7 @@ let run st =
           per_group [];
       objects_walked = !objects;
       full_objects = !fulls;
-      objects_skipped = !skipped;
+      objects_skipped = skipped;
       pages_protected = protected_before;
       dram_dirty_copied = !dirty_copied;
       migrated_in = !migrated_in;
@@ -799,7 +672,7 @@ let run st =
     Drain.publish st.State.drain
       {
         Drain.p_ver = new_ver;
-        p_visited = visited;
+        p_live = (if rebuilt then Some index else None);
         p_stw_t0 = t0;
         p_stw_t1 = t0 + stw_ns;
         p_enqueued = enqueued;

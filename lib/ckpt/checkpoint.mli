@@ -1,9 +1,10 @@
 (** The stop-the-world checkpoint procedure (Figure 5).
 
     Steps: (1) IPI all cores into quiescence; (2) the leader walks the
-    runtime capability tree and copies every object's state into its ORoot
-    backups — user pages are {e not} copied, dirty ones are re-marked
-    read-only; (3) in parallel, the other cores traverse the active page
+    runtime capability tree and copies the state of every object mutated
+    since its last checkpoint into its ORoot backups (the kernel's dirty
+    set, see {!Live_index}) — user pages are {e not} copied, dirty ones are
+    re-marked read-only; (3) in parallel, the other cores traverse the active page
     list performing hybrid copy (stop-and-copy of dirty DRAM pages,
     NVM/DRAM migrations); (4) the global version number is bumped — the
     atomic commit point; (5) cores resume; then registered checkpoint
@@ -42,7 +43,8 @@ val resolve_cow_fault : State.t -> Treesls_cap.Kobj.pmo -> int -> bool
     pending and the caller should run the eager CoW protocol. *)
 
 val resolve_region : Treesls_cap.Kobj.vmspace -> int -> (Treesls_cap.Kobj.pmo * int) option
-(** [resolve_region vms vpn] is the (pmo, page index) backing [vpn], via a
-    cached interval index over the VM space's regions; when regions
-    overlap, the first one in region-list order wins (exposed for unit
-    tests). *)
+(** [resolve_region vms vpn] is the (pmo, page index) backing [vpn], via an
+    interval index over the VM space's regions; when regions overlap, the
+    first one in region-list order wins.  Uncached: the walk resolves
+    through {!Live_index.resolve}, which caches the interval index per VM
+    space. *)

@@ -200,6 +200,7 @@ let free_all store t ~runtime_of =
       (match cp.b2 with Some p when Paddr.is_nvm p -> Store.free_page store p | Some _ | None -> ());
       match runtime_of pno with
       | Some p when Paddr.is_ssd p -> Store.free_ssd_page store p
+      | Some p when Paddr.is_dram p -> Store.free_dram_page store p
       | Some p
         when Paddr.is_nvm p
              && (not (cp.b1 = Some p))

@@ -89,5 +89,5 @@ val backup_frames : t -> int
 (** Number of NVM frames currently held as backups (checkpoint size). *)
 
 val free_all : Store.t -> t -> runtime_of:(int -> Paddr.t option) -> unit
-(** Free all backup frames and all NVM runtime frames (PMO garbage
-    collection after its object left the checkpoint). *)
+(** Free all backup frames and all runtime frames, NVM, SSD and DRAM
+    (PMO garbage collection after its object left the checkpoint). *)

@@ -40,7 +40,7 @@ type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 
 type pending = {
   p_ver : int;  (* the staged (uncommitted) version *)
-  p_visited : (int, unit) Hashtbl.t;  (* the walk's liveness epoch, for the deferred GC *)
+  p_live : Live_index.t option;  (* rebuilt at this STW: the GC deferred to settle *)
   p_stw_t0 : int;
   p_stw_t1 : int;
   p_enqueued : int;  (* backlog size at publish = pages deferred *)

@@ -1,0 +1,46 @@
+(** The checkpoint walk's cached view of the live capability tree.
+
+    Built by one DFS from the root whenever the kernel's edge epoch has
+    moved since the last build (or after boot and restore): the set of
+    reachable objects, each one's root-DFS preorder position, and the
+    process it is attributed to in [Report.per_group].  While the epoch
+    stands still no object can become reachable or unreachable, so the
+    walk takes the dirty set, keeps the live entries and visits them in
+    cached DFS order — the same objects in the same order as a full walk
+    that skips clean ones.  The index also caches each VM space's region
+    interval index; the cache dies with the index, so entries never
+    outlive their VM space or leak between systems. *)
+
+module Kobj = Treesls_cap.Kobj
+module Kernel = Treesls_kernel.Kernel
+
+type t
+
+val build : Kernel.t -> t
+
+val epoch : t -> int
+(** The kernel's edge epoch when the index was built. *)
+
+val size : t -> int
+(** Live object count. *)
+
+val order : t -> Kobj.t array
+(** Every live object in root-DFS preorder ({!Kobj.iter_tree} order). *)
+
+val is_live : t -> int -> bool
+
+val owner : t -> int -> string
+(** Attribution of a live object: the first process, in
+    [Kernel.processes] order, whose subtree reaches it; ["kernel"] when no
+    process does. *)
+
+val live_dirty : t -> Kobj.log -> Kobj.t list
+(** The log's dirty objects that are live, in DFS order. *)
+
+val resolve : t -> Kobj.vmspace -> int -> (Kobj.pmo * int) option
+(** vpn -> (pmo, page index), through the index's per-VM-space region
+    cache (rebuilt when the region list is replaced).  Overlapping regions
+    resolve to the first match in list order. *)
+
+val resolve_region : Kobj.vmspace -> int -> (Kobj.pmo * int) option
+(** {!resolve} without a cache: builds the region interval index afresh. *)

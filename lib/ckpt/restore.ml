@@ -290,7 +290,9 @@ let run_inner st =
     !live;
   Probe.rto_phase_end ();
   Probe.rto_phase_begin "captree_rebuild";
-  (* Phase 2: stitch references by object id. *)
+  (* Phase 2: stitch references by object id, under the mutation log the
+     rebuilt kernel adopts. *)
+  let log = Kobj.create_log () in
   let find_stub oid = Hashtbl.find_opt stubs oid in
   List.iter
     (fun (oid, _oroot, snap) ->
@@ -299,25 +301,28 @@ let run_inner st =
         List.iter
           (fun (slot, target_id, rights) ->
             match find_stub target_id with
-            | Some target -> Kobj.install_at cg slot { Kobj.target; rights }
+            | Some target -> Kobj.install_at log cg slot { Kobj.target; rights }
             | None -> () (* referent dropped (born after g): dangling cap removed *))
           slots
       | Snapshot.S_vmspace { regions }, Some (Kobj.Vmspace vs) ->
-        vs.Kobj.vs_regions <-
-          List.filter_map
+        Kobj.set_regions log vs
+          (List.filter_map
             (fun (vpn, pages, pmo_id, writable) ->
               match find_stub pmo_id with
               | Some (Kobj.Pmo pmo) ->
                 Some { Kobj.vr_vpn = vpn; vr_pages = pages; vr_pmo = pmo; vr_writable = writable }
               | Some _ | None -> None)
-            regions
+            regions)
       | Snapshot.S_ipc { server_tid; shared_pmo; _ }, Some (Kobj.Ipc_conn conn) ->
-        (match Option.map find_stub server_tid with
-        | Some (Some (Kobj.Thread th)) -> conn.Kobj.ic_server <- Some th
-        | Some _ | None -> ());
-        (match Option.map find_stub shared_pmo with
-        | Some (Some (Kobj.Pmo p)) -> conn.Kobj.ic_shared <- Some p
-        | Some _ | None -> ())
+        Kobj.connect log conn
+          ~server:
+            (match Option.map find_stub server_tid with
+            | Some (Some (Kobj.Thread th)) -> Some th
+            | Some _ | None -> None)
+          ~shared:
+            (match Option.map find_stub shared_pmo with
+            | Some (Some (Kobj.Pmo p)) -> Some p
+            | Some _ | None -> None)
       | (Snapshot.S_thread _ | Snapshot.S_pmo _ | Snapshot.S_notif _ | Snapshot.S_irq _), _ -> ()
       | _, _ -> ())
     !live;
@@ -331,7 +336,7 @@ let run_inner st =
      high-water mark is older than this checkpoint (pre-fix stores). *)
   let ids_hwm = Hashtbl.fold (fun oid _ acc -> max acc oid) stubs st.State.ids_hwm in
   st.State.ids_hwm <- ids_hwm;
-  let kernel = Kernel.rebuild ~store ~ncores:(Kernel.ncores crashed_kernel) ~root ~ids_hwm in
+  let kernel = Kernel.rebuild ~store ~ncores:(Kernel.ncores crashed_kernel) ~root ~ids_hwm ~log in
   st.State.kernel <- kernel;
   st.State.crashed_root <- None;
   Active_list.clear st.State.active;
@@ -345,26 +350,7 @@ let run_inner st =
      test the committed walk would have applied. *)
   let reachable : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) ());
-  let dead =
-    Hashtbl.fold
-      (fun oid (o : Oroot.t) acc ->
-        if not (Hashtbl.mem reachable oid) then (oid, o) :: acc else acc)
-      st.State.oroots []
-  in
-  List.iter
-    (fun (oid, (o : Oroot.t)) ->
-      (match o.Oroot.pages with
-      | Some pages ->
-        let runtime_of pno =
-          match o.Oroot.runtime with
-          | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
-          | Some _ | None -> None
-        in
-        Ckpt_page.free_all store pages ~runtime_of
-      | None -> ());
-      incr dropped;
-      Hashtbl.remove st.State.oroots oid)
-    dead;
+  dropped := !dropped + State.gc_dead_oroots st ~live:(Hashtbl.mem reachable);
   Probe.rto_phase_end ();
   Probe.rto_phase_begin "buddy_reconcile";
   (* Final allocator reconciliation (paper section 3, step 7: compare the

@@ -1,5 +1,6 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
+module Radix = Treesls_cap.Radix
 module Stats = Treesls_util.Stats
 
 type features = {
@@ -30,8 +31,7 @@ type t = {
   mutable next_ckpt_at : int;
   mutable last_report : Report.t option;
   mutable force_full : bool;
-  mutable owner_cache : (int, string) Hashtbl.t option;
-  mutable owner_cache_epoch : int;
+  mutable index : Live_index.t option;
   mutable wear_mark : int;
   drain : Drain.t;
   mutable drain_policy : Drain.policy;
@@ -66,8 +66,7 @@ let create kernel active_cfg features =
     next_ckpt_at = 0;
     last_report = None;
     force_full = true;
-    owner_cache = None;
-    owner_cache_epoch = -1;
+    index = None;
     wear_mark = 0;
     drain = Drain.create ();
     drain_policy = Drain.Lazy;
@@ -120,11 +119,35 @@ let note_crash t =
   (* restored objects carry fresh generations that could collide with the
      pre-crash saved_gen values, so the first post-restore walk is eager *)
   t.force_full <- true;
-  t.owner_cache <- None;
-  t.owner_cache_epoch <- -1;
+  t.index <- None;
   (* the drain backlog and restamp tables die with DRAM; drain-saved NVM
      frames survive for Restore's drain_settle phase *)
   Drain.note_crash t.drain
+
+let gc_dead_oroots t ~live =
+  let store = Kernel.store t.kernel in
+  let dead =
+    Hashtbl.fold (fun oid o acc -> if live oid then acc else (oid, o) :: acc) t.oroots []
+  in
+  if dead <> [] then Active_list.forget t.active (fun pmo_id -> not (live pmo_id));
+  List.iter
+    (fun (oid, (o : Oroot.t)) ->
+      (match o.Oroot.pages with
+      | Some pages ->
+        (* The object left the tree before this (now committed) checkpoint,
+           so nothing can roll back to a state containing it any more: free
+           its backup frames and its runtime frames (reachable through the
+           runtime pointer the ORoot keeps), DRAM-cached ones included. *)
+        let runtime_of pno =
+          match o.Oroot.runtime with
+          | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
+          | Some _ | None -> None
+        in
+        Ckpt_page.free_all store pages ~runtime_of
+      | None -> ());
+      Hashtbl.remove t.oroots oid)
+    dead;
+  List.length dead
 
 let checkpoint_bytes t =
   let page_size = (Kernel.cost t.kernel).Treesls_sim.Cost.page_size in

@@ -61,11 +61,10 @@ type t = {
           by {!note_crash}, cleared by [Checkpoint.run] — the first walk
           after boot or restore must visit every object to (re)seed the
           per-object saved generations *)
-  mutable owner_cache : (int, string) Hashtbl.t option;
-      (** volatile: object id -> owning process name, for report
-          attribution; valid only while [owner_cache_epoch] matches
-          [Kernel.procs_epoch] *)
-  mutable owner_cache_epoch : int;
+  mutable index : Live_index.t option;
+      (** volatile: the walk's cached live set, DFS order and owners;
+          rebuilt by [Checkpoint.run] when the kernel's edge epoch moved,
+          dropped by {!note_crash} *)
   mutable wear_mark : int;
       (** cumulative wearmap bytes at the last committed checkpoint: the
           per-interval physical-NVM-bytes delta (WAF numerator) is measured
@@ -91,6 +90,12 @@ val obj_cost : t -> Kobj.kind -> obj_cost
 
 val note_crash : t -> unit
 (** Capture the crash-time runtime tree and drop volatile state. *)
+
+val gc_dead_oroots : t -> live:(int -> bool) -> int
+(** Drop the ORoot of every object [live] rejects, freeing its backup and
+    runtime frames (DRAM-cached ones included) and forgetting its pages'
+    active-list and hotness entries; returns how many were dropped.  Only
+    sound once a checkpoint without those objects has committed. *)
 
 val checkpoint_bytes : t -> int
 (** Current checkpoint footprint: snapshot bytes + backup page frames. *)

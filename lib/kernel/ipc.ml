@@ -4,19 +4,21 @@ module Cost = Treesls_sim.Cost
 type handler = Bytes.t -> Bytes.t
 
 let create_conn k ~client ~server =
+  let log = Kernel.log k in
   let conn = Kobj.make_ipc_conn ~id:(Treesls_cap.Id_gen.next (Kernel.ids k)) in
-  conn.Kobj.ic_server <- (match server.Kernel.threads with th :: _ -> Some th | [] -> None);
   let shared =
     Kobj.make_pmo
       ~id:(Treesls_cap.Id_gen.next (Kernel.ids k))
       ~pages:1 ~kind:Kobj.Pmo_normal
   in
-  conn.Kobj.ic_shared <- Some shared;
+  Kobj.connect log conn
+    ~server:(match server.Kernel.threads with th :: _ -> Some th | [] -> None)
+    ~shared:(Some shared);
   ignore
-    (Kobj.install client.Kernel.cg
+    (Kobj.install log client.Kernel.cg
        { Kobj.target = Kobj.Ipc_conn conn; rights = Treesls_cap.Rights.full });
   ignore
-    (Kobj.install server.Kernel.cg
+    (Kobj.install log server.Kernel.cg
        { Kobj.target = Kobj.Ipc_conn conn; rights = Treesls_cap.Rights.full });
   conn
 
@@ -41,7 +43,7 @@ let call k conn payload =
     Treesls_obs.Probe.count "ipc.calls" 1;
     Treesls_obs.Probe.req_ipc ();
     conn.Kobj.ic_calls <- conn.Kobj.ic_calls + 1;
-    Kobj.touch (Kobj.Ipc_conn conn);
+    Kobj.touch (Kernel.log k) (Kobj.Ipc_conn conn);
     let reply = h payload in
     Treesls_obs.Probe.req_handled ();
     Treesls_obs.Probe.exit tok;
@@ -60,25 +62,25 @@ let notify k n =
           (fun th ->
             if th.Kobj.th_id = tid then begin
               th.Kobj.th_state <- Kobj.Ready;
-              Kobj.touch (Kobj.Thread th);
+              Kobj.touch (Kernel.log k) (Kobj.Thread th);
               Sched.enqueue (Kernel.sched k) th
             end)
           p.Kernel.threads)
       (Kernel.processes k));
-  Kobj.touch (Kobj.Notification n)
+  Kobj.touch (Kernel.log k) (Kobj.Notification n)
 
 let wait k n th =
   Kernel.syscall k ~work_ns:0;
   if n.Kobj.nt_count > 0 then begin
     n.Kobj.nt_count <- n.Kobj.nt_count - 1;
-    Kobj.touch (Kobj.Notification n);
+    Kobj.touch (Kernel.log k) (Kobj.Notification n);
     true
   end
   else begin
     th.Kobj.th_state <- Kobj.Blocked_notif n.Kobj.nt_id;
-    Kobj.touch (Kobj.Thread th);
+    Kobj.touch (Kernel.log k) (Kobj.Thread th);
     n.Kobj.nt_waiters <- n.Kobj.nt_waiters @ [ th.Kobj.th_id ];
-    Kobj.touch (Kobj.Notification n);
+    Kobj.touch (Kernel.log k) (Kobj.Notification n);
     false
   end
 

@@ -40,7 +40,7 @@ type t = {
   stats : stats;
   ipc_handlers : (int, Bytes.t -> Bytes.t) Hashtbl.t;
   mutable alive : bool;
-  mutable procs_epoch : int;  (** bumped on process create/exit *)
+  log : Kobj.log;
 }
 
 let store t = t.store
@@ -53,7 +53,7 @@ let sched t = t.sched
 let stats t = t.stats
 let ipc_handlers t = t.ipc_handlers
 let processes t = t.procs
-let procs_epoch t = t.procs_epoch
+let log t = t.log
 let find_process t ~name = List.find_opt (fun p -> p.pname = name) t.procs
 
 let pagetable t vms =
@@ -83,8 +83,8 @@ let rmap_live t pmo pno =
 let set_cow_hook t h = t.cow_hook <- h
 let set_fresh_hook t h = t.fresh_hook <- h
 
-let install_obj owner obj rights =
-  ignore (Kobj.install owner { Kobj.target = obj; rights })
+let install_obj t owner obj rights =
+  ignore (Kobj.install t.log owner { Kobj.target = obj; rights })
 
 (* --- object creation ------------------------------------------------- *)
 
@@ -93,72 +93,70 @@ let new_pmo t ~pages ~kind =
 
 let create_notification t proc =
   let n = Kobj.make_notification ~id:(Id_gen.next t.ids) in
-  install_obj proc.cg (Kobj.Notification n) Treesls_cap.Rights.full;
+  install_obj t proc.cg (Kobj.Notification n) Treesls_cap.Rights.full;
   n
 
 let create_irq t proc ~line =
   let irq = Kobj.make_irq_notification ~id:(Id_gen.next t.ids) ~line in
-  install_obj proc.cg (Kobj.Irq_notification irq) Treesls_cap.Rights.full;
+  install_obj t proc.cg (Kobj.Irq_notification irq) Treesls_cap.Rights.full;
   irq
 
-let add_region proc pmo ~writable =
+let add_region t proc pmo ~writable =
   let vpn = proc.brk_vpn in
   let region = { Kobj.vr_vpn = vpn; vr_pages = pmo.Kobj.pmo_pages; vr_pmo = pmo; vr_writable = writable } in
-  proc.vms.Kobj.vs_regions <- proc.vms.Kobj.vs_regions @ [ region ];
-  Kobj.touch (Kobj.Vmspace proc.vms);
+  Kobj.set_regions t.log proc.vms (proc.vms.Kobj.vs_regions @ [ region ]);
   proc.brk_vpn <- vpn + pmo.Kobj.pmo_pages;
   vpn
 
 let add_thread t proc ~prio =
   let th = Kobj.make_thread ~id:(Id_gen.next t.ids) ~prio in
-  install_obj proc.cg (Kobj.Thread th) Treesls_cap.Rights.full;
+  install_obj t proc.cg (Kobj.Thread th) Treesls_cap.Rights.full;
   (* one stack page per thread, like ChCore *)
   let stack = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-  install_obj proc.cg (Kobj.Pmo stack) Treesls_cap.Rights.rw;
-  ignore (add_region proc stack ~writable:true);
+  install_obj t proc.cg (Kobj.Pmo stack) Treesls_cap.Rights.rw;
+  ignore (add_region t proc stack ~writable:true);
   proc.threads <- proc.threads @ [ th ];
   Sched.enqueue t.sched th;
   th
 
 let create_process t ~name ~threads ~prio =
   let cg = Kobj.make_cap_group ~id:(Id_gen.next t.ids) ~name in
-  install_obj t.root (Kobj.Cap_group cg) Treesls_cap.Rights.full;
+  install_obj t t.root (Kobj.Cap_group cg) Treesls_cap.Rights.full;
   let vms = Kobj.make_vmspace ~id:(Id_gen.next t.ids) in
-  install_obj cg (Kobj.Vmspace vms) Treesls_cap.Rights.full;
+  install_obj t cg (Kobj.Vmspace vms) Treesls_cap.Rights.full;
   let proc = { pid = cg.Kobj.cg_id; pname = name; cg; vms; threads = []; brk_vpn = 16 } in
   let code = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-  install_obj cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
-  ignore (add_region proc code ~writable:false);
+  install_obj t cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
+  ignore (add_region t proc code ~writable:false);
   for _ = 1 to threads do
     ignore (add_thread t proc ~prio)
   done;
   t.procs <- t.procs @ [ proc ];
-  t.procs_epoch <- t.procs_epoch + 1;
   proc
 
 let exit_process t proc =
   List.iter
     (fun th ->
       th.Kobj.th_state <- Kobj.Exited;
-      Kobj.touch (Kobj.Thread th))
+      Kobj.touch t.log (Kobj.Thread th))
     proc.threads;
-  (* revoke the cap from the root group so the subtree becomes unreachable *)
+  (* revoke the cap from the root group so the subtree becomes unreachable
+     (the revoke bumps the edge epoch) *)
   Kobj.iter_caps
-    (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.root slot)
+    (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.log t.root slot)
     t.root;
   t.procs <- List.filter (fun p -> p.pid <> proc.pid) t.procs;
-  t.procs_epoch <- t.procs_epoch + 1;
   Hashtbl.remove t.pagetables proc.vms.Kobj.vs_id
 
 let grow_heap t proc ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_normal in
-  install_obj proc.cg (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
-  add_region proc pmo ~writable:true
+  install_obj t proc.cg (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
+  add_region t proc pmo ~writable:true
 
-let map_shared _t proc pmo ~writable =
-  install_obj proc.cg (Kobj.Pmo pmo)
+let map_shared t proc pmo ~writable =
+  install_obj t proc.cg (Kobj.Pmo pmo)
     (if writable then Treesls_cap.Rights.rw else Treesls_cap.Rights.read_only);
-  add_region proc pmo ~writable
+  add_region t proc pmo ~writable
 
 let make_eternal_pmo t ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_eternal in
@@ -169,8 +167,8 @@ let make_eternal_pmo t ~pages =
     let paddr = Store.alloc_page t.store in
     Radix.set pmo.Kobj.pmo_radix i paddr
   done;
-  Kobj.touch (Kobj.Pmo pmo);
-  install_obj t.root (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
+  Kobj.touch t.log (Kobj.Pmo pmo);
+  install_obj t t.root (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
   pmo
 
 (* --- memory paths ------------------------------------------------------ *)
@@ -196,7 +194,7 @@ let grant t ~from_proc ~to_proc ~slot ~rights =
       invalid_arg "Kernel.grant: rights may only shrink";
     t.stats.syscalls <- t.stats.syscalls + 1;
     charge t (cost t).Cost.syscall_ns;
-    Kobj.install to_proc.cg { Kobj.target = cap.Kobj.target; rights }
+    Kobj.install t.log to_proc.cg { Kobj.target = cap.Kobj.target; rights }
 
 let raise_irq t irq =
   charge t (cost t).Cost.trap_ns;
@@ -210,27 +208,27 @@ let raise_irq t irq =
           if (not !woken) && th.Kobj.th_state = Kobj.Blocked_notif (-irq.Kobj.irq_id) then begin
             woken := true;
             th.Kobj.th_state <- Kobj.Ready;
-            Kobj.touch (Kobj.Thread th);
+            Kobj.touch t.log (Kobj.Thread th);
             Sched.enqueue t.sched th
           end)
         p.threads)
     t.procs;
   if !woken then irq.Kobj.irq_pending <- irq.Kobj.irq_pending - 1;
-  Kobj.touch (Kobj.Irq_notification irq)
+  Kobj.touch t.log (Kobj.Irq_notification irq)
 
 let wait_irq t irq th =
   t.stats.syscalls <- t.stats.syscalls + 1;
   charge t (cost t).Cost.syscall_ns;
   if irq.Kobj.irq_pending > 0 then begin
     irq.Kobj.irq_pending <- irq.Kobj.irq_pending - 1;
-    Kobj.touch (Kobj.Irq_notification irq);
+    Kobj.touch t.log (Kobj.Irq_notification irq);
     true
   end
   else begin
     (* blocked-on-IRQ is encoded as a negative notification id so that it
        survives checkpointing through the same thread-state snapshot *)
     th.Kobj.th_state <- Kobj.Blocked_notif (-irq.Kobj.irq_id);
-    Kobj.touch (Kobj.Thread th);
+    Kobj.touch t.log (Kobj.Thread th);
     false
   end
 
@@ -285,7 +283,7 @@ let ensure_mapped t proc ~vpn ~for_write =
     Pagetable.make_writable pt ~vpn;
     (* the PTE just joined the pagetable's dirty list: the next checkpoint
        must run the protect pass over this vmspace, so mark it dirty *)
-    Kobj.touch (Kobj.Vmspace proc.vms);
+    Kobj.touch t.log (Kobj.Vmspace proc.vms);
     (* the CoW hook may have migrated the page; reload *)
     (match Pagetable.lookup pt ~vpn with
     | Some p -> p.Pagetable.paddr
@@ -314,7 +312,7 @@ let ensure_mapped t proc ~vpn ~for_write =
         | None -> paddr
       in
       Pagetable.map pt ~vpn ~paddr ~writable:for_write;
-      if for_write then Kobj.touch (Kobj.Vmspace proc.vms);
+      if for_write then Kobj.touch t.log (Kobj.Vmspace proc.vms);
       rmap_add t region.Kobj.vr_pmo pno pt vpn;
       paddr
     | Some paddr ->
@@ -330,7 +328,7 @@ let ensure_mapped t proc ~vpn ~for_write =
           | None -> paddr
         in
         Pagetable.map pt ~vpn ~paddr ~writable:true;
-        Kobj.touch (Kobj.Vmspace proc.vms);
+        Kobj.touch t.log (Kobj.Vmspace proc.vms);
         rmap_add t region.Kobj.vr_pmo pno pt vpn;
         paddr
       end
@@ -347,10 +345,10 @@ let ensure_mapped t proc ~vpn ~for_write =
       Radix.set region.Kobj.vr_pmo.Kobj.pmo_radix pno paddr;
       (* the fresh page needs a CP record at the next walk; the PMO must
          not be skipped before its pending-fresh list is drained *)
-      Kobj.touch (Kobj.Pmo region.Kobj.vr_pmo);
+      Kobj.touch t.log (Kobj.Pmo region.Kobj.vr_pmo);
       (match t.fresh_hook with Some h -> h region.Kobj.vr_pmo pno | None -> ());
       Pagetable.map pt ~vpn ~paddr ~writable:for_write;
-      if for_write then Kobj.touch (Kobj.Vmspace proc.vms);
+      if for_write then Kobj.touch t.log (Kobj.Vmspace proc.vms);
       rmap_add t region.Kobj.vr_pmo pno pt vpn;
       paddr)
 
@@ -559,7 +557,7 @@ let derive_processes root =
     root;
   !procs
 
-let rebuild ~store ~ncores ~root ~ids_hwm =
+let rebuild ~store ~ncores ~root ~ids_hwm ~log =
   let ids = Id_gen.create () in
   Id_gen.restore ids ids_hwm;
   let t =
@@ -577,7 +575,7 @@ let rebuild ~store ~ncores ~root ~ids_hwm =
       stats = fresh_stats ();
       ipc_handlers = Hashtbl.create 16;
       alive = true;
-      procs_epoch = 0;
+      log;
     }
   in
   t.procs <- derive_processes root;
@@ -630,20 +628,17 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       stats = fresh_stats ();
       ipc_handlers = Hashtbl.create 16;
       alive = true;
-      procs_epoch = 0;
+      log = Kobj.create_log ();
     }
   in
   (* kernel VM space + kernel buffer PMOs, reachable as special nodes *)
   let kvms = Kobj.make_vmspace ~id:(Id_gen.next ids) in
-  install_obj root (Kobj.Vmspace kvms) Treesls_cap.Rights.full;
-  for i = 0 to 15 do
-    let buf = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-    install_obj root (Kobj.Pmo buf) Treesls_cap.Rights.rw;
-    kvms.Kobj.vs_regions <-
-      kvms.Kobj.vs_regions
-      @ [ { Kobj.vr_vpn = 1024 + i; vr_pages = 1; vr_pmo = buf; vr_writable = true } ]
-  done;
-  Kobj.touch (Kobj.Vmspace kvms);
+  install_obj t root (Kobj.Vmspace kvms) Treesls_cap.Rights.full;
+  Kobj.set_regions t.log kvms
+    (List.init 16 (fun i ->
+         let buf = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
+         install_obj t root (Kobj.Pmo buf) Treesls_cap.Rights.rw;
+         { Kobj.vr_vpn = 1024 + i; vr_pages = 1; vr_pmo = buf; vr_writable = true }));
   List.iter
     (fun (name, threads, extra_pmos, notifs, conns) ->
       let proc = create_process t ~name ~threads ~prio:10 in
@@ -655,10 +650,9 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       done;
       for _ = 1 to conns do
         let conn = Kobj.make_ipc_conn ~id:(Id_gen.next ids) in
-        conn.Kobj.ic_server <- (match proc.threads with th :: _ -> Some th | [] -> None);
-        let shared = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-        conn.Kobj.ic_shared <- Some shared;
-        install_obj proc.cg (Kobj.Ipc_conn conn) Treesls_cap.Rights.full
+        let server = match proc.threads with th :: _ -> Some th | [] -> None in
+        Kobj.connect t.log conn ~server ~shared:(Some (new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal));
+        install_obj t proc.cg (Kobj.Ipc_conn conn) Treesls_cap.Rights.full
       done)
     service_spec;
   t

@@ -58,10 +58,11 @@ val sched : t -> Sched.t
 val stats : t -> stats
 val processes : t -> process list
 
-val procs_epoch : t -> int
-(** Bumped on every process create/exit; consumers caching anything derived
-    from the process list (e.g. the checkpoint owner-attribution map) compare
-    epochs instead of re-walking. *)
+val log : t -> Kobj.log
+(** The system's mutation log: every kernel mutator touches the objects it
+    changes into its dirty set, and every capability-tree edge change
+    (cap install/revoke, VM-region and IPC-endpoint updates, process
+    create/exit) bumps its edge epoch. *)
 
 val find_process : t -> name:string -> process option
 
@@ -182,7 +183,9 @@ val crash : t -> unit
     survives. After this only {!store} and recovery entry points may be
     used. *)
 
-val rebuild : store:Store.t -> ncores:int -> root:Kobj.cap_group -> ids_hwm:int -> t
-(** Recovery: adopt a revived capability tree as the new runtime tree,
-    re-derive processes from cap groups, rebuild the scheduler, start with
-    empty page tables. *)
+val rebuild :
+  store:Store.t -> ncores:int -> root:Kobj.cap_group -> ids_hwm:int -> log:Kobj.log -> t
+(** Recovery: adopt a revived capability tree (stitched under [log], which
+    becomes the system's mutation log) as the new runtime tree, re-derive
+    processes from cap groups, rebuild the scheduler, start with empty page
+    tables. *)

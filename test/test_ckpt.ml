@@ -44,7 +44,7 @@ let snapshot_thread () =
 let snapshot_cap_group () =
   let g = Kobj.make_cap_group ~id:1 ~name:"g" in
   let th = Kobj.Thread (Kobj.make_thread ~id:2 ~prio:1) in
-  ignore (Kobj.install g { Kobj.target = th; rights = Rights.rw });
+  ignore (Kobj.install (Kobj.create_log ()) g { Kobj.target = th; rights = Rights.rw });
   match Snapshot.take (Kobj.Cap_group g) with
   | Snapshot.S_cap_group s ->
     check_int "one slot" 1 (List.length s.slots);

@@ -21,6 +21,7 @@ module Radix = Treesls_cap.Radix
 module Store = Treesls_nvm.Store
 module Paddr = Treesls_nvm.Paddr
 module Rng = Treesls_util.Rng
+module Trace = Treesls_obs.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -159,6 +160,41 @@ let hybrid_undo_drops_entry () =
   ignore (System.checkpoint sys);
   check_bool "no retry on later checkpoints" false (on_list ())
 
+(* ---- a process exiting with DRAM-cached pages ---- *)
+
+(* The dead heap PMO's active-list entries must die with its ORoot: left
+   behind, the hybrid step would resurrect an ORoot for it on every
+   commit, its DRAM frames would never be freed, and after [idle_limit]
+   clean commits the demotion would find no CP record. *)
+let exit_with_dram_cached_pages () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let st = Manager.state (System.manager sys) in
+  let store = System.store sys in
+  let dram0 = Store.dram_pages_free store in
+  let p = Kernel.create_process k ~name:"leaver" ~threads:1 ~prio:5 in
+  let vpn0 = Kernel.grow_heap k p ~pages:4 in
+  let heap =
+    match Checkpoint.resolve_region p.Kernel.vms vpn0 with
+    | Some (pmo, _) -> pmo
+    | None -> Alcotest.fail "heap not resolved"
+  in
+  for _ = 1 to 5 do
+    for i = 0 to 3 do
+      Kernel.touch_write k p ~vpn:(vpn0 + i)
+    done;
+    ignore (System.checkpoint sys)
+  done;
+  check_bool "heap pages cached in DRAM" true (Store.dram_pages_free store < dram0);
+  Kernel.exit_process k p;
+  let idle = (Active_list.config st.State.active).Active_list.idle_limit in
+  for _ = 1 to idle + 2 do
+    ignore (System.checkpoint sys)
+  done;
+  check_bool "no ORoot for the dead heap" false (Hashtbl.mem st.State.oroots heap.Kobj.pmo_id);
+  check_int "DRAM frames returned" dram0 (Store.dram_pages_free store);
+  check_int "audit clean" 0 (Audit.errors (System.audit sys))
+
 (* ---- skip accounting: conservation against an eager twin ---- *)
 
 let conservation () =
@@ -221,34 +257,127 @@ type op =
   | Spawn
   | Exit of int
   | Grow
+  | Connect of int
+  | Call of int
+  | Grant of int
+  | Share of int
   | Ckpt
 
 let gen_trace rng n =
   List.init n (fun _ ->
-      match Rng.int rng 16 with
-      | 0 | 1 | 2 | 3 -> Notify (Rng.int rng 1000)
-      | 4 | 5 -> Wait (Rng.int rng 1000)
-      | 6 | 7 | 8 -> Touch (Rng.int rng 1000)
-      | 9 | 10 -> Write (Rng.int rng 1000)
-      | 11 -> Spawn
-      | 12 -> Exit (Rng.int rng 1000)
-      | 13 -> Grow
+      match Rng.int rng 20 with
+      | 0 | 1 | 2 -> Notify (Rng.int rng 1000)
+      | 3 | 4 -> Wait (Rng.int rng 1000)
+      | 5 | 6 | 7 -> Touch (Rng.int rng 1000)
+      | 8 | 9 -> Write (Rng.int rng 1000)
+      | 10 -> Spawn
+      | 11 -> Exit (Rng.int rng 1000)
+      | 12 -> Grow
+      | 13 -> Connect (Rng.int rng 1000)
+      | 14 -> Call (Rng.int rng 1000)
+      | 15 -> Grant (Rng.int rng 1000)
+      | 16 -> Share (Rng.int rng 1000)
       | _ -> Ckpt)
+
+(* Test-side reference for the next checkpoint: a full tree walk keeping
+   the objects the walk must checkpoint — every reachable one when the
+   walk is eager, otherwise those never checkpointed or mutated since —
+   in DFS order, each with its owner computed from scratch (the first
+   process, in creation order, whose subtree reaches it). *)
+let reference_walk sys =
+  let k = System.kernel sys in
+  let st = Manager.state (System.manager sys) in
+  let eager = st.State.force_full || not st.State.features.State.incremental_walk in
+  let owner = Hashtbl.create 256 in
+  List.iter
+    (fun (p : Kernel.process) ->
+      Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
+          if not (Hashtbl.mem owner (Kobj.id obj)) then
+            Hashtbl.add owner (Kobj.id obj) p.Kernel.pname))
+    (Kernel.processes k);
+  let walked = ref [] in
+  Kobj.iter_tree ~root:(Kernel.root k) (fun obj ->
+      let oid = Kobj.id obj in
+      let dirty =
+        match Hashtbl.find_opt st.State.oroots oid with
+        | Some o -> o.Oroot.saved_gen <> Kobj.gen obj
+        | None -> true
+      in
+      if eager || dirty then
+        walked := (oid, Option.value ~default:"kernel" (Hashtbl.find_opt owner oid)) :: !walked);
+  List.rev !walked
+
+(* Checkpoint and compare what the walk did — its verbose-tier "ckpt.obj"
+   events (object id and group, in walk order) and the report's per-group
+   object counts — against [reference_walk].  Returns the mismatches. *)
+let checked_checkpoint sys =
+  let expected = reference_walk sys in
+  let tr = System.trace sys in
+  Trace.clear tr;
+  let r = System.checkpoint sys in
+  let walked =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.name = "ckpt.obj" then
+          let arg key = List.assoc key e.Trace.args in
+          Some (int_of_string (arg "id"), arg "group")
+        else None)
+      (Trace.events tr)
+  in
+  let counts l =
+    List.sort_uniq compare
+      (List.map (fun (_, g) -> (g, List.length (List.filter (fun (_, g') -> g' = g) l))) l)
+  in
+  let groups =
+    List.sort compare (List.map (fun (g, s) -> (g, s.Report.g_objects)) r.Report.per_group)
+  in
+  let bad = ref [] in
+  if Trace.dropped tr > 0 then bad := "trace ring wrapped" :: !bad;
+  if walked <> expected then
+    bad :=
+      Printf.sprintf "v%d: walked %d objects, reference %d" r.Report.version (List.length walked)
+        (List.length expected)
+      :: !bad;
+  if groups <> counts expected then
+    bad := Printf.sprintf "v%d: per_group differs from the reference" r.Report.version :: !bad;
+  (r, !bad)
 
 (* Replay [ops] on [sys] (deterministic: the same trace drives the eager
    and the incremental system identically), ending with a checkpoint so
-   both commit the same state; returns the total skipped-object count. *)
+   both commit the same state; every checkpoint is checked against the
+   reference walk.  Returns the total skipped-object count and the
+   mismatches found. *)
 let apply sys ops =
   let k () = System.kernel sys in
+  System.enable_tracing ~verbose:true ~eternal_backing:false sys;
   let base = Kernel.create_process (k ()) ~name:"driver" ~threads:1 ~prio:5 in
   let heap0 = Kernel.grow_heap (k ()) base ~pages:4 in
   let heap_pages = 4 in
   let psz = (Kernel.cost (k ())).Treesls_sim.Cost.page_size in
   let notifs = ref [| Kernel.create_notification (k ()) base |] in
   let procs = ref [] in
+  let conns = ref [] in
   let spawned = ref 0 in
   let skipped = ref 0 in
-  let ckpt () = skipped := !skipped + (System.checkpoint sys).Report.objects_skipped in
+  let mismatches = ref [] in
+  let ckpt () =
+    let r, bad = checked_checkpoint sys in
+    skipped := !skipped + r.Report.objects_skipped;
+    mismatches := !mismatches @ bad
+  in
+  let pick l i = List.nth l (i mod List.length l) in
+  (* slot of a notification cap the process may pass on *)
+  let notif_slot (p : Kernel.process) i =
+    let slots = ref [] in
+    Kobj.iter_caps
+      (fun slot c ->
+        match c.Kobj.target with
+        | Kobj.Notification _ when c.Kobj.rights.Treesls_cap.Rights.grant ->
+          slots := (slot, c.Kobj.rights) :: !slots
+        | _ -> ())
+      p.Kernel.cg;
+    if !slots = [] then None else Some (pick (List.rev !slots) i)
+  in
   List.iter
     (fun op ->
       match op with
@@ -282,10 +411,37 @@ let apply sys ops =
       | Grow ->
         let v = Kernel.grow_heap (k ()) base ~pages:2 in
         Kernel.touch_write (k ()) base ~vpn:v
+      | Connect i ->
+        (* the connection sits in both ends' cap groups *)
+        let all = base :: !procs in
+        let c = Ipc.create_conn (k ()) ~client:(pick all i) ~server:(pick all (i / 7)) in
+        Ipc.register_handler (k ()) c (fun b -> b);
+        conns := !conns @ [ c ]
+      | Call i ->
+        if !conns <> [] then ignore (Ipc.call (k ()) (pick !conns i) (Bytes.of_string "ping"))
+      | Grant i -> (
+        (* pass a notification cap between two processes: an older
+           receiver takes over the object's attribution.  Exits free root
+           slots that younger processes reuse, so DFS order and process
+           order disagree and the owner must be corrected after the DFS. *)
+        let all = base :: !procs in
+        let from_proc = pick all i and to_proc = pick all (i / 7) in
+        match notif_slot from_proc i with
+        | Some (slot, rights) -> ignore (Kernel.grant (k ()) ~from_proc ~to_proc ~slot ~rights)
+        | None -> ())
+      | Share i ->
+        (* map one of the driver's writable PMOs into a spawned process *)
+        if !procs <> [] then begin
+          let writable =
+            List.filter (fun r -> r.Kobj.vr_writable) base.Kernel.vms.Kobj.vs_regions
+          in
+          let r = pick writable i in
+          ignore (Kernel.map_shared (k ()) (pick !procs i) r.Kobj.vr_pmo ~writable:true)
+        end
       | Ckpt -> ckpt ())
     ops;
   ckpt ();
-  !skipped
+  (!skipped, !mismatches)
 
 let prop_restore_equivalence =
   QCheck.Test.make
@@ -295,7 +451,11 @@ let prop_restore_equivalence =
       let trace = gen_trace (Rng.create (Int64.of_int seed)) nops in
       let run incr =
         let sys = System.boot ~features:(feats ~incr) () in
-        let skipped = apply sys trace in
+        let skipped, mismatches = apply sys trace in
+        if mismatches <> [] then
+          QCheck.Test.fail_reportf "%s walk vs reference: %s"
+            (if incr then "incremental" else "eager")
+            (String.concat "; " mismatches);
         ignore (System.crash_and_recover sys);
         (sys, skipped)
       in
@@ -324,6 +484,11 @@ let () =
             resolve_list_order_and_invalidation;
         ] );
       ("hybrid-undo", [ Alcotest.test_case "undo retires the entry" `Quick hybrid_undo_drops_entry ]);
+      ( "exit",
+        [
+          Alcotest.test_case "exit with DRAM-cached pages frees them" `Quick
+            exit_with_dram_cached_pages;
+        ] );
       ("accounting", [ Alcotest.test_case "conservation vs eager twin" `Quick conservation ]);
       ("properties", qsuite);
     ]

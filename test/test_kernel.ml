@@ -285,7 +285,7 @@ let rebuild_derives_processes () =
   let root = Kernel.root k in
   let store = Kernel.store k in
   let ids_hwm = Treesls_cap.Id_gen.current (Kernel.ids k) in
-  let k2 = Kernel.rebuild ~store ~ncores:(Kernel.ncores k) ~root ~ids_hwm in
+  let k2 = Kernel.rebuild ~store ~ncores:(Kernel.ncores k) ~root ~ids_hwm ~log:(Kernel.log k) in
   check_int "same process count" (List.length (Kernel.processes k))
     (List.length (Kernel.processes k2));
   let p2 = Option.get (Kernel.find_process k2 ~name:"app") in

@@ -158,7 +158,7 @@ let per_group_churn () =
     apps;
   assert_groups_live_and_exact sys r1;
   (* destroy half the tenants -> checkpoint: their groups must vanish
-     (the owner cache invalidates on procs_epoch, not on time) *)
+     (each exit changes the tree's edges, so the owners are recomputed) *)
   let doomed, kept = (List.filteri (fun i _ -> i < 2) apps, List.filteri (fun i _ -> i >= 2) apps) in
   let k = System.kernel sys in
   List.iter
