@@ -44,9 +44,17 @@ bench-fresh:
 bench-diff: bench-fresh
 	dune exec bench/bench_diff.exe $(BENCH_FRESH) .
 
+# End-to-end runs of the CLI (about a second each): the serve command in
+# both drain modes with its JSON checked by a real parser, and ckpt.
+cli:
+	dune exec bin/treesls_cli.exe -- serve --tenants 2 -n 100 --json | python3 -m json.tool > /dev/null
+	dune exec bin/treesls_cli.exe -- serve --tenants 2 -n 100 --json --eager | python3 -m json.tool > /dev/null
+	dune exec bin/treesls_cli.exe -- ckpt
+
 ci:
 	dune build @all
 	dune runtest
+	$(MAKE) cli
 	$(MAKE) fmt
 	dune exec bench/main.exe -- --exp smoke --audit
 	$(MAKE) bench-diff
@@ -60,4 +68,4 @@ bench:
 bench-audit:
 	dune exec bench/main.exe -- --audit
 
-.PHONY: all test fmt ci bench bench-fresh bench-diff bench-audit
+.PHONY: all test fmt cli ci bench bench-fresh bench-diff bench-audit

@@ -69,8 +69,9 @@ let parse (s : string) : json =
         | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
         | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
         | Some 'u' ->
-          (* \uXXXX: decode the code point to UTF-8 (enough for the
-             escaping Trace.json_escape produces) *)
+          (* \uXXXX: decode the code point to UTF-8 (enough for
+             Trace.json_escape, the escaper behind every JSON file the
+             harness and the audit write) *)
           advance ();
           if !pos + 4 > n then fail "truncated \\u escape";
           let hex = String.sub s !pos 4 in

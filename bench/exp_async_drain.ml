@@ -27,7 +27,6 @@ open Exp_common
 module Net_server = Treesls_extsync.Net_server
 module Rtrace = Treesls_obs.Rtrace
 module Probe = Treesls_obs.Probe
-module Drain = Treesls_ckpt.Drain
 module C = Treesls_crashtest.Crashtest
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("async_drain: " ^ m); exit 2) fmt
@@ -42,7 +41,7 @@ let warm_ops () = if !smoke then 6_000 else 10_000
 let measure_ops () = if !smoke then 8_000 else 20_000
 let fp_ops () = if !smoke then 2_000 else 6_000
 let fp_ckpt_every = 400
-let drain_batch = 8
+let lazy_policy = Drain.Lazy 8
 
 type run = {
   r_label : string;
@@ -95,13 +94,9 @@ let advance_to sys target =
   in
   loop ()
 
-let run_one ~label ~async =
-  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~async () in
+let run_one ~label ~drain =
+  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~drain () in
   let sys = boot ~interval_us ~features:feats () in
-  if async then begin
-    Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-    Manager.set_drain_batch (System.manager sys) drain_batch
-  end;
   let rng = Rng.create 93L in
   let nkeys = keys () in
   let app = Kv_app.launch ~keys_hint:nkeys ~value_size:100 sys Kv_app.Memcached in
@@ -181,14 +176,10 @@ let run_one ~label ~async =
    commit count in both modes; the async run interleaves drain steps (and
    thus CoW fault resolutions) with the writes.  After a final settle and
    a crash/recover on each, the restore fingerprints must be identical. *)
-let fingerprint_of ~async =
-  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~async () in
+let fingerprint_of ~drain =
+  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~drain () in
   let sys = boot ~features:feats () in
   System.set_interval_us sys None;
-  if async then begin
-    Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-    Manager.set_drain_batch (System.manager sys) drain_batch
-  end;
   let rng = Rng.create 71L in
   let nkeys = keys () / 4 in
   let app = Kv_app.launch ~keys_hint:nkeys ~value_size:100 sys Kv_app.Memcached in
@@ -203,12 +194,12 @@ let fingerprint_of ~async =
   ignore (System.checkpoint sys);
   System.drain_settle sys;
   ignore (System.crash_and_recover sys);
-  audit_or_die sys ~where:(if async then "fp-lazy" else "fp-eager");
+  audit_or_die sys ~where:(if drain = Drain.Eager then "fp-eager" else "fp-lazy");
   (System.version sys, C.fingerprint sys)
 
 let run () =
-  let eager = run_one ~label:"eager" ~async:false in
-  let lazy_ = run_one ~label:"lazy-drain" ~async:true in
+  let eager = run_one ~label:"eager" ~drain:Drain.Eager in
+  let lazy_ = run_one ~label:"lazy-drain" ~drain:lazy_policy in
   let us v = float_of_int v /. 1e3 in
   let emit r ~mode =
     emit_row
@@ -262,8 +253,8 @@ let run () =
     (lazy_.r_stw_mean_us /. Float.max 1e-9 eager.r_stw_mean_us)
     eager.r_waf lazy_.r_waf (us eager.r_p99_ns) (us lazy_.r_p99_ns);
   (* restore-equivalence leg *)
-  let ve, fe = fingerprint_of ~async:false in
-  let vl, fl = fingerprint_of ~async:true in
+  let ve, fe = fingerprint_of ~drain:Drain.Eager in
+  let vl, fl = fingerprint_of ~drain:lazy_policy in
   Printf.printf "fingerprints: eager v%d, lazy v%d -> %s\n" ve vl
     (if fe = fl then "identical" else "MISMATCH");
   (* gates *)

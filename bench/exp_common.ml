@@ -7,6 +7,7 @@ module Kernel = Treesls_kernel.Kernel
 module Manager = Treesls_ckpt.Manager
 module Report = Treesls_ckpt.Report
 module State = Treesls_ckpt.State
+module Drain = Treesls_ckpt.Drain
 module Census = Treesls_cap.Census
 module Kobj = Treesls_cap.Kobj
 module Rng = Treesls_util.Rng
@@ -20,7 +21,7 @@ module Sqlite = Treesls_apps.Sqlite
 module Phoenix = Treesls_apps.Phoenix
 module Kvstore = Treesls_apps.Kvstore
 
-let features ?(incr = true) ?(adaptive = false) ?(async = false) ~ckpt ~track ~copy ~hybrid () =
+let features ?(incr = true) ?(adaptive = false) ?(drain = Drain.Eager) ~ckpt ~track ~copy ~hybrid () =
   {
     State.ckpt_enabled = ckpt;
     track_dirty = track;
@@ -28,7 +29,7 @@ let features ?(incr = true) ?(adaptive = false) ?(async = false) ~ckpt ~track ~c
     hybrid;
     incremental_walk = incr;
     adaptive_interval = adaptive;
-    async_drain = async;
+    drain;
   }
 
 let full_features () = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ()

@@ -11,7 +11,7 @@
    pile in.
 
    Self-gates (exit 2 on failure):
-   + isolation: with incremental_walk + async_drain on, the worst
+   + isolation: with incremental_walk on and a [Lazy 16] drain, the worst
      per-tenant p99 enqueue->visible latency at the highest tenant count
      stays within 1.3x the single-tenant baseline;
    + the eager/full-walk ablation really is the degrading regime: its
@@ -27,7 +27,6 @@ open Exp_common
 module Serve = Treesls_serve.Serve
 module Tenant = Treesls_serve.Tenant
 module Rtrace = Treesls_obs.Rtrace
-module Drain = Treesls_ckpt.Drain
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("multitenant: " ^ m); exit 2) fmt
 
@@ -35,7 +34,6 @@ let tenant_counts () = if !smoke then [ 1; 4; 16 ] else [ 1; 4; 16; 64 ]
 let ops_per_tenant () = if !smoke then 200 else 400
 let interval_us = 500
 let gap_ns = 10_000
-let drain_batch = 16
 
 type mode = Incr_async | Eager_full
 
@@ -58,17 +56,12 @@ type measured = {
 
 let run_one mode ~tenants =
   let async = mode = Incr_async in
-  let feats =
-    features ~incr:async ~async ~ckpt:true ~track:true ~copy:true ~hybrid:true ()
-  in
+  let drain = if async then Drain.Lazy 16 else Drain.Eager in
+  let feats = features ~incr:async ~drain ~ckpt:true ~track:true ~copy:true ~hybrid:true () in
   (* 64 tenants x (shard store + ring + procs) outgrows the default
      arena once checkpoint copies are counted in *)
   let nvm_pages = if tenants >= 32 then 1 lsl 18 else 1 lsl 17 in
   let sys = boot ~interval_us ~features:feats ~nvm_pages () in
-  if async then begin
-    Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-    Manager.set_drain_batch (System.manager sys) drain_batch
-  end;
   let cfg = { Serve.default_cfg with tenants; ops_per_tenant = ops_per_tenant (); gap_ns } in
   let srv = Serve.create sys cfg in
   Serve.run srv;

@@ -928,15 +928,11 @@ let serve_cmd =
         hybrid = true;
         incremental_walk = not eager;
         adaptive_interval = false;
-        async_drain = not eager;
+        drain = (if eager then Drain.Eager else Drain.Lazy 16);
       }
     in
     let nvm_pages = if tenants >= 32 then 1 lsl 18 else 1 lsl 17 in
     let sys = System.boot ~interval_us:(max 1 interval) ~features ~nvm_pages () in
-    if not eager then begin
-      Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-      Manager.set_drain_batch (System.manager sys) 16
-    end;
     (* split the op budget into crash-separated segments: every tenant's
        ring and store must come back by name after each power failure *)
     let segments = crashes + 1 in

@@ -92,11 +92,10 @@ let checkpoint_object st index obj ~new_ver =
 
 (* The asynchronous drain rides on the hybrid/CoW machinery: without dirty
    tracking, fault backups and the active list there is nothing to defer,
-   so the feature silently degrades to eager capture. *)
+   so a [Lazy] policy silently degrades to eager capture. *)
 let async_on st =
   let f = st.State.features in
-  f.State.async_drain
-  && st.State.drain_policy <> Drain.Eager
+  (match f.State.drain with Drain.Lazy _ -> true | Drain.Eager -> false)
   && f.State.track_dirty && f.State.copy_on_fault && f.State.hybrid
 
 (* Step 3: one core's traversal of its sub-list of the active page list. *)
@@ -162,8 +161,8 @@ let hybrid_sublist st ~new_ver entries counters =
               (* async drain: capture the page logically now — protect it
                  and flip the dirty bookkeeping as the eager copy would —
                  but owe the copy itself to the backlog.  A write landing
-                 before the drain reaches it faults into
-                 [resolve_cow_fault] and pays exactly one page. *)
+                 before the drain reaches it faults into [cow_fault] and
+                 pays exactly one page. *)
               archive_page st pmo pno runtime;
               List.iter
                 (fun (pt, vpn) -> Pagetable.protect pt ~vpn)
@@ -204,15 +203,19 @@ let hybrid_sublist st ~new_ver entries counters =
         end)
     entries
 
-(* An ORoot is dead when its object left the tree.  Objects only leave
+(* THE atomic commit: bump the version, then collect dead ORoots.  An
+   ORoot is dead when its object left the tree.  Objects only leave
    through an edge change, which makes the next walk rebuild the live
-   index, so only a commit whose walk rebuilt it can find dead ORoots. *)
-let gc_dead_oroots st index = ignore (State.gc_dead_oroots st ~live:(Live_index.is_live index))
+   index, so only a commit whose walk rebuilt it ([live]) can find any. *)
+let commit_version st live =
+  Global_meta.commit_checkpoint (Store.meta (Kernel.store st.State.kernel));
+  Crash_site.hit "ckpt.version_bump";
+  Option.iter (fun index -> ignore (State.gc_dead_oroots st ~live:(Live_index.is_live index))) live;
+  Crash_site.hit "ckpt.gc_done"
 
-(* Post-commit probe tail, shared by the eager path (inside [run]) and the
-   drain settle: counters/gauges for the committed version, wear telemetry,
-   then the black-box sample last — it snapshots the whole registry and
-   fires the SLO watchdog + adaptive-interval hook. *)
+(* The commit probes ([finish_commit]): counters/gauges for the committed
+   version, wear telemetry, then the black-box sample last — it snapshots
+   the whole registry and fires the SLO watchdog + adaptive-interval hook. *)
 let emit_commit_probes st (r : Report.t) =
   let store = Kernel.store st.State.kernel in
   Probe.count "ckpt.runs" 1;
@@ -260,12 +263,51 @@ let emit_commit_probes st (r : Report.t) =
   Probe.tseries_sample ~version:r.Report.version ~stw_ns:r.Report.stw_ns
     ~interval_ns:st.State.interval_ns
 
+(* Everything downstream of a commit, shared by the eager commit inside
+   [run] and the drain settle.  The commit and its STW window are recorded
+   first, so the extsync callbacks can attribute each released reply to
+   this version (and bind flow arrows to its ckpt.stw slice).  Then the
+   write amplification: physical NVM bytes landed since the previous
+   commit (wearmap delta — app data, CoW backups, hybrid and drain copies,
+   snapshots, journal, meta) over the application-level dirty delta (dirty
+   pages x page size, identical whatever the walk strategy or policy). *)
+let finish_commit st (r : Report.t) ~stw_t0 ~stw_t1 =
+  Probe.ckpt_committed ~version:r.Report.version ~stw_t0 ~stw_t1;
+  List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
+  let wear_now = Probe.wear_total_bytes () in
+  let nvm_bytes_written = wear_now - st.State.wear_mark in
+  st.State.wear_mark <- wear_now;
+  let logical_dirty_bytes =
+    (Kernel.cost st.State.kernel).Cost.page_size
+    * (r.Report.pages_protected + r.Report.dram_dirty_copied + r.Report.pages_drained)
+  in
+  let report = { r with Report.nvm_bytes_written; logical_dirty_bytes } in
+  st.State.last_report <- Some report;
+  emit_commit_probes st report;
+  report
+
+(* Pay one owed copy: stop-and-copy the backlogged DRAM page into its
+   stale CPP slot for the staged version and reopen it for writing.  False
+   when the page vanished or left DRAM since the STW: no copy is owed. *)
+let pay_owed st (p : Drain.pending) (e : Drain.entry) =
+  let kernel = st.State.kernel in
+  let pmo = e.Drain.d_pmo and pno = e.Drain.d_pno in
+  match Radix.get pmo.Kobj.pmo_radix pno with
+  | Some runtime when Paddr.is_dram runtime ->
+    Ckpt_page.stop_and_copy_dram (Kernel.store kernel) e.Drain.d_cps ~runtime ~pno
+      ~new_ver:p.Drain.p_ver;
+    List.iter
+      (fun (pt, vpn) -> Pagetable.unprotect pt ~vpn)
+      (Kernel.mappings_of_page kernel pmo ~pno);
+    p.Drain.p_drained <- p.Drain.p_drained + 1;
+    true
+  | Some _ | None -> false
+
 (* Copy up to [limit] backlog pages into their stale CPP slots on the
    follower cores (metered — the shared clock does not advance; ops running
    meanwhile only pay for pages they fault on). *)
 let drain_copies st (p : Drain.pending) ~limit =
-  let kernel = st.State.kernel in
-  let store = Kernel.store kernel in
+  let store = Kernel.store st.State.kernel in
   let drain = st.State.drain in
   let copied = ref 0 in
   let meter = ref 0 in
@@ -275,34 +317,20 @@ let drain_copies st (p : Drain.pending) ~limit =
           while (not !exhausted) && !copied < limit do
             match Drain.pop drain with
             | None -> exhausted := true
-            | Some e -> (
-              let pmo = e.Drain.d_pmo and pno = e.Drain.d_pno in
-              match Radix.get pmo.Kobj.pmo_radix pno with
-              | Some runtime when Paddr.is_dram runtime ->
-                Ckpt_page.stop_and_copy_dram store e.Drain.d_cps ~runtime ~pno
-                  ~new_ver:p.Drain.p_ver;
-                List.iter
-                  (fun (pt, vpn) -> Pagetable.unprotect pt ~vpn)
-                  (Kernel.mappings_of_page kernel pmo ~pno);
+            | Some e ->
+              if pay_owed st p e then begin
                 incr copied;
-                p.Drain.p_drained <- p.Drain.p_drained + 1;
                 Crash_site.hit "ckpt.drain.copied"
-              | Some _ | None ->
-                (* page vanished or left DRAM since the STW: no copy owed *)
-                ())
+              end
           done));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
   !copied
 
 (* The settle step: the backlog is empty — apply the CoW restamps and
-   drain-saved frames, bump the version (THE atomic commit, deferred from
-   the STW), run the dead-ORoot GC if the walk rebuilt the live index, and
-   release everything that waited on durability: the extsync callbacks,
-   the wear/WAF accounting, the commit probes and the black-box sample. *)
+   drain-saved frames, commit the version deferred from the STW, and
+   release everything that waited on durability ([finish_commit]). *)
 let settle_commit st (p : Drain.pending) =
-  let kernel = st.State.kernel in
-  let store = Kernel.store kernel in
-  let meta = Store.meta store in
+  let store = Kernel.store st.State.kernel in
   let drain = st.State.drain in
   let meter = ref 0 in
   Treesls_obs.Wearmap.with_writer "ckpt.drain" (fun () ->
@@ -310,10 +338,7 @@ let settle_commit st (p : Drain.pending) =
           Drain.apply_settle store drain ~ver:p.Drain.p_ver));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
   Crash_site.hit "ckpt.drain.settled";
-  Global_meta.commit_checkpoint meta;
-  Crash_site.hit "ckpt.version_bump";
-  Option.iter (gc_dead_oroots st) p.Drain.p_live;
-  Crash_site.hit "ckpt.gc_done";
+  commit_version st p.Drain.p_live;
   Drain.clear_pending drain;
   Probe.span_at "ckpt.drain" ~ts_ns:p.Drain.p_stw_t1 ~dur_ns:(now st - p.Drain.p_stw_t1)
     ~args:
@@ -323,119 +348,110 @@ let settle_commit st (p : Drain.pending) =
         ("drained", string_of_int p.Drain.p_drained);
         ("cow_faults", string_of_int p.Drain.p_cow_faults);
       ];
-  (* replies released below attribute to the STW window that staged them *)
-  Probe.ckpt_committed ~version:p.Drain.p_ver ~stw_t0:p.Drain.p_stw_t0
-    ~stw_t1:p.Drain.p_stw_t1;
-  List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
-  let wear_now = Probe.wear_total_bytes () in
-  let nvm_bytes_written = wear_now - st.State.wear_mark in
-  st.State.wear_mark <- wear_now;
-  let logical_dirty_bytes =
-    (Store.cost store).Cost.page_size
-    * (p.Drain.p_report.Report.pages_protected + p.Drain.p_drained)
-  in
-  let report =
-    {
-      p.Drain.p_report with
-      Report.nvm_bytes_written;
-      logical_dirty_bytes;
-      pages_drained = p.Drain.p_drained;
-      cow_faults = p.Drain.p_cow_faults;
-      drain_ns = p.Drain.p_drain_ns;
-    }
-  in
-  st.State.last_report <- Some report;
-  emit_commit_probes st report
+  (* replies released at the commit attribute to the STW window that
+     staged them *)
+  ignore
+    (finish_commit st
+       {
+         p.Drain.p_report with
+         Report.pages_drained = p.Drain.p_drained;
+         cow_faults = p.Drain.p_cow_faults;
+         drain_ns = p.Drain.p_drain_ns;
+       }
+       ~stw_t0:p.Drain.p_stw_t0 ~stw_t1:p.Drain.p_stw_t1)
 
-(* One asynchronous drain step, called between operations (System.tick).
-   Lazy copies a bounded batch per step; Deadline empties the backlog at
-   the first opportunity.  Either way [run] force-settles any window still
-   pending before the next capture — one staged version in flight, ever. *)
-let drain_step st =
+(* Copy up to [limit] backlog pages of the pending window, if any, and
+   settle it once the backlog is empty.  Returns pages copied. *)
+let drain_up_to st ~limit =
   match Drain.pending st.State.drain with
   | None -> 0
   | Some p ->
-    let limit =
-      match st.State.drain_policy with
-      | Drain.Lazy -> st.State.drain_batch
-      | Drain.Eager | Drain.Deadline -> max_int
-    in
     let n = drain_copies st p ~limit in
     if Drain.backlog st.State.drain = 0 then settle_commit st p;
     n
 
-let settle st =
-  match Drain.pending st.State.drain with
-  | None -> ()
-  | Some p ->
-    ignore (drain_copies st p ~limit:max_int);
-    settle_commit st p
+(* One asynchronous drain step, called between operations (System.tick):
+   [Lazy n] copies [n] backlog pages per step ([Lazy max_int] empties it
+   at the first opportunity).  [run] force-settles any window still
+   pending before the next capture — one staged version in flight, ever. *)
+let drain_step st =
+  drain_up_to st
+    ~limit:(match st.State.features.State.drain with Drain.Lazy n -> n | Drain.Eager -> max_int)
 
-(* Write fault on a still-protected page while a drain window is pending
-   (staged version N, committed version N-1).  Returns true when a window
-   is pending — the fault was handled here and the caller (the Manager CoW
-   hook) must not run the eager backup protocol on top. *)
-let resolve_cow_fault st pmo pno =
+let settle st = ignore (drain_up_to st ~limit:max_int)
+
+(* The page's checkpoint record, with its runtime frame: [None] for a page
+   outside checkpoint management (unmanaged PMO, unbacked page, no record). *)
+let page_record st pmo pno =
+  match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
+  | None -> None
+  | Some oroot -> (
+    match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
+    | Some pages, Some runtime ->
+      Option.map (fun cp -> (pages, cp, runtime)) (Ckpt_page.find pages pno)
+    | (Some _ | None), _ -> None)
+
+(* Bank what a write to a protected page would destroy before it lands.
+   With no drain window pending the committed version is the only restore
+   target and the pre-image is its backup.  Inside a window (staged version
+   N over committed N-1) the fault must keep both versions restorable. *)
+let bank_fault_backup st pmo pno =
+  let store = Kernel.store st.State.kernel in
+  let committed = Global_meta.version (Store.meta store) in
   match Drain.pending st.State.drain with
-  | None -> false
-  | Some p ->
-    let kernel = st.State.kernel in
-    let store = Kernel.store kernel in
+  | None -> (
+    match page_record st pmo pno with
+    | Some (_, cp, _) when cp.Ckpt_page.born_ver > committed -> ()
+    | Some (pages, _, runtime) ->
+      ignore (Ckpt_page.cow_backup store pages ~runtime ~pno ~global:committed)
+    | None -> ())
+  | Some p -> (
     let key = (pmo.Kobj.pmo_id, pno) in
-    (match Drain.take st.State.drain key with
-    | Some e -> (
-      (* backlogged DRAM page: resolve its owed copy right now — the
-         faulting op pays one page and the page reopens for writing *)
-      match Radix.get pmo.Kobj.pmo_radix pno with
-      | Some runtime when Paddr.is_dram runtime ->
-        Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () ->
-            Ckpt_page.stop_and_copy_dram store e.Drain.d_cps ~runtime ~pno
-              ~new_ver:p.Drain.p_ver);
-        List.iter
-          (fun (pt, vpn) -> Pagetable.unprotect pt ~vpn)
-          (Kernel.mappings_of_page kernel pmo ~pno);
-        p.Drain.p_drained <- p.Drain.p_drained + 1;
-        p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-        Crash_site.hit "ckpt.cow_fault.resolved"
-      | Some _ | None -> ())
+    let resolved () =
+      p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
+      Crash_site.hit "ckpt.cow_fault.resolved"
+    in
+    match Drain.take st.State.drain key with
+    | Some e ->
+      (* backlogged DRAM page: pay its owed copy right now — the faulting
+         op pays one page and the page reopens for writing *)
+      if Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () -> pay_owed st p e) then
+        resolved ()
     | None -> (
       (* NVM page protected at the STW: its backup must serve two masters —
          a crash mid-window restores to N-1, a settled window to N. *)
-      match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
-      | None -> ()
-      | Some oroot -> (
-        match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
-        | Some pages, Some runtime when Paddr.is_nvm runtime -> (
-          match Ckpt_page.find pages pno with
-          | None -> ()
-          | Some cp ->
-            let committed = Global_meta.version (Store.meta store) in
-            Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () ->
-                if Ckpt_page.cow_backup store pages ~runtime ~pno ~global:committed then begin
-                  (* clean at N: the pre-image just banked equals the page's
-                     content at both N-1 and N, so settle lifts the stamp to
-                     N without another copy *)
-                  Drain.note_restamp st.State.drain key cp;
-                  p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-                  Crash_site.hit "ckpt.cow_fault.resolved"
-                end
-                else if
-                  (cp.Ckpt_page.b1_ver = committed && cp.Ckpt_page.b1 <> None)
-                  || (cp.Ckpt_page.b2_ver = committed && cp.Ckpt_page.b2 <> None)
-                then begin
-                  (* dirty at N (a backup stamped N-1 already exists): the
-                     runtime holds the only copy of the staged content —
-                     save it to a fresh frame before the write lands; settle
-                     installs the frame as the N backup, a crash frees it *)
-                  let frame = Store.alloc_page store in
-                  Store.copy_page store ~src:runtime ~dst:frame;
-                  Store.seal_page store frame;
-                  Drain.note_saved st.State.drain key cp frame;
-                  p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-                  Crash_site.hit "ckpt.cow_fault.resolved"
-                end))
-        | (Some _ | None), _ -> ())));
-    true
+      match page_record st pmo pno with
+      | Some (pages, cp, runtime) when Paddr.is_nvm runtime ->
+        Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () ->
+            if Ckpt_page.cow_backup store pages ~runtime ~pno ~global:committed then begin
+              (* clean at N: the pre-image just banked equals the page's
+                 content at both N-1 and N, so settle lifts the stamp to
+                 N without another copy *)
+              Drain.note_restamp st.State.drain key cp;
+              resolved ()
+            end
+            else if
+              (cp.Ckpt_page.b1_ver = committed && cp.Ckpt_page.b1 <> None)
+              || (cp.Ckpt_page.b2_ver = committed && cp.Ckpt_page.b2 <> None)
+            then begin
+              (* dirty at N (a backup stamped N-1 already exists): the
+                 runtime holds the only copy of the staged content — save
+                 it to a fresh frame before the write lands; settle
+                 installs the frame as the N backup, a crash frees it *)
+              let frame = Store.alloc_page store in
+              Store.copy_page store ~src:runtime ~dst:frame;
+              Store.seal_page store frame;
+              Drain.note_saved st.State.drain key cp frame;
+              resolved ()
+            end)
+      | Some _ | None -> ()))
+
+(* Step 6 of Figure 5, the kernel's write-fault hook on a protected page:
+   the copy-on-write backup, then hotness tracking for hybrid copy. *)
+let cow_fault st pmo pno =
+  let f = st.State.features in
+  if f.State.copy_on_fault then bank_fault_backup st pmo pno;
+  if f.State.hybrid then Active_list.record_fault st.State.active pmo pno
 
 let run st =
   (* one staged version in flight, ever: a window still draining must
@@ -589,12 +605,8 @@ let run st =
      a mid-window crash rolls back to the still-committed N-1. *)
   Crash_site.hit "ckpt.publish";
   let enqueued = Drain.backlog st.State.drain in
-  if enqueued = 0 then begin
-    Global_meta.commit_checkpoint meta;
-    Crash_site.hit "ckpt.version_bump";
-    if rebuilt then gc_dead_oroots st index;
-    Crash_site.hit "ckpt.gc_done"
-  end;
+  let live = if rebuilt then Some index else None in
+  if enqueued = 0 then commit_version st live;
   Store.charge store (Store.cost store).Cost.tlb_shootdown_ns;
   let others_ns = now st - others0 in
   Probe.exit others_tok;
@@ -640,28 +652,7 @@ let run st =
       drain_ns = 0;
     }
   in
-  if enqueued = 0 then begin
-    (* eager commit: record the commit + STW window first, so the extsync
-       callbacks below can attribute each released reply to this version
-       (and bind flow arrows to the ckpt.stw slice just closed) *)
-    Probe.ckpt_committed ~version:new_ver ~stw_t0:t0 ~stw_t1:(t0 + stw_ns);
-    (* external synchrony callbacks run after the commit (release replies) *)
-    List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
-    (* Write-amplification: physical NVM bytes landed since the previous
-       checkpoint (wearmap delta — app data, CoW backups, hybrid copies,
-       snapshots, journal, meta) over the application-level dirty delta
-       (dirty pages × page size, identical whatever the walk strategy). *)
-    let wear_now = Probe.wear_total_bytes () in
-    let nvm_bytes_written = wear_now - st.State.wear_mark in
-    st.State.wear_mark <- wear_now;
-    let logical_dirty_bytes =
-      (Store.cost store).Cost.page_size * (protected_before + !dirty_copied)
-    in
-    let report = { report with Report.nvm_bytes_written; logical_dirty_bytes } in
-    st.State.last_report <- Some report;
-    emit_commit_probes st report;
-    report
-  end
+  if enqueued = 0 then finish_commit st report ~stw_t0:t0 ~stw_t1:(t0 + stw_ns)
   else begin
     (* async: the STW only staged version N.  Publish the window — the
        drain ([drain_step]/[settle]) owes [enqueued] copies, and the
@@ -672,7 +663,7 @@ let run st =
     Drain.publish st.State.drain
       {
         Drain.p_ver = new_ver;
-        p_live = (if rebuilt then Some index else None);
+        p_live = live;
         p_stw_t0 = t0;
         p_stw_t1 = t0 + stw_ns;
         p_enqueued = enqueued;

@@ -18,7 +18,7 @@
 val run : State.t -> Report.t
 (** Take one whole-system checkpoint and return its measurements.
 
-    With [features.async_drain] on (and a non-Eager policy), dirty
+    Under a [Lazy n] drain policy ([features.drain]), dirty
     DRAM-cached pages are protected and enqueued instead of copied: the
     STW stays O(dirty objects), [run] returns a partial report for the
     {e staged} version, and the version bump — with the GC, extsync
@@ -27,8 +27,8 @@ val run : State.t -> Report.t
     entered is force-settled first (one staged version in flight, ever). *)
 
 val drain_step : State.t -> int
-(** One asynchronous drain step (called between operations): copy a
-    policy-sized batch of backlog pages on the follower cores, settling
+(** One asynchronous drain step (called between operations): copy the
+    next [n] backlog pages ([Lazy n]) on the follower cores, settling
     the window when the backlog empties. Returns pages copied; 0 when no
     window is pending. *)
 
@@ -36,11 +36,13 @@ val settle : State.t -> unit
 (** Force the pending window (if any) durable now: drain the remaining
     backlog and commit. No-op when nothing is pending. *)
 
-val resolve_cow_fault : State.t -> Treesls_cap.Kobj.pmo -> int -> bool
-(** Write-fault arbitration while a drain window is pending: resolves the
-    owed copy (backlogged DRAM page) or banks a version-correct backup
-    (protected NVM page) and returns [true]; [false] when no window is
-    pending and the caller should run the eager CoW protocol. *)
+val cow_fault : State.t -> Treesls_cap.Kobj.pmo -> int -> unit
+(** The kernel's write-fault hook on a protected page (step 6): with
+    [copy_on_fault] on, bank the page's backup before the write lands —
+    against the committed version, or, while a drain window is pending,
+    resolving the owed copy (backlogged DRAM page) or banking a backup
+    valid for both the staged and the committed version (protected NVM
+    page); with [hybrid] on, record the fault for hotness tracking. *)
 
 val resolve_region : Treesls_cap.Kobj.vmspace -> int -> (Treesls_cap.Kobj.pmo * int) option
 (** [resolve_region vms vpn] is the (pmo, page index) backing [vpn], via an

@@ -32,9 +32,7 @@ module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
 
-type policy = Eager | Lazy | Deadline
-
-let policy_name = function Eager -> "eager" | Lazy -> "lazy" | Deadline -> "deadline"
+type policy = Eager | Lazy of int
 
 type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 

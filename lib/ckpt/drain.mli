@@ -16,11 +16,11 @@ module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
 
 type policy =
-  | Eager  (** degrade to today's behaviour: copy everything inside the STW *)
-  | Lazy  (** copy [drain_batch] backlog pages per drain step *)
-  | Deadline  (** empty the whole backlog at the first drain step *)
-
-val policy_name : policy -> string
+  | Eager  (** copy every dirty DRAM-cached page inside the STW (default) *)
+  | Lazy of int
+      (** defer those copies to the backlog and copy this many pages per
+          drain step (>= 1, checked at boot); [Lazy max_int] empties the
+          whole backlog at the first step *)
 
 type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 (** One owed copy: a dirty DRAM-cached page protected at the STW whose

@@ -1,6 +1,4 @@
 module Kernel = Treesls_kernel.Kernel
-module Kobj = Treesls_cap.Kobj
-module Radix = Treesls_cap.Radix
 module Store = Treesls_nvm.Store
 module Global_meta = Treesls_nvm.Global_meta
 module Clock = Treesls_sim.Clock
@@ -9,34 +7,14 @@ type t = { st : State.t }
 
 let install_hooks st =
   let kernel = st.State.kernel in
-  let store = Kernel.store kernel in
-  Kernel.set_cow_hook kernel
-    (Some
-       (fun pmo pno ->
-         (* Step 6 of Figure 5: duplicate the page into its backup before
-            the write proceeds, then track hotness for hybrid copy.  While
-            a drain window is pending the fault belongs to the window —
-            [Checkpoint.resolve_cow_fault] must arbitrate between the
-            staged and the committed version, so the eager protocol below
-            only runs when it declines. *)
-         (if st.State.features.State.copy_on_fault then
-            if not (Checkpoint.resolve_cow_fault st pmo pno) then
-              match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
-              | Some oroot -> (
-                match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
-                | Some pages, Some runtime ->
-                  let global = Global_meta.version (Store.meta store) in
-                  (match Ckpt_page.find pages pno with
-                  | Some cp when cp.Ckpt_page.born_ver > global -> ()
-                  | Some _ -> ignore (Ckpt_page.cow_backup store pages ~runtime ~pno ~global)
-                  | None -> ())
-                | (Some _ | None), _ -> ())
-              | None -> ());
-         if st.State.features.State.hybrid then Active_list.record_fault st.State.active pmo pno));
+  Kernel.set_cow_hook kernel (Some (Checkpoint.cow_fault st));
   Kernel.set_fresh_hook kernel (Some (fun pmo pno -> State.note_fresh_page st pmo pno))
 
 let attach ?(active_cfg = Active_list.default_config) ?features kernel =
   let features = match features with Some f -> f | None -> State.default_features () in
+  (match features.State.drain with
+  | Drain.Lazy n when n < 1 -> invalid_arg "Manager.attach: Drain.Lazy batch must be >= 1"
+  | Drain.Lazy _ | Drain.Eager -> ());
   let st = State.create kernel active_cfg features in
   install_hooks st;
   { st }
@@ -87,9 +65,6 @@ let drain_settle t = Checkpoint.settle t.st
 let drain_backlog t = Drain.backlog t.st.State.drain
 let drain_pending_version t = Drain.pending_version t.st.State.drain
 let drain_saved_frames t = Drain.saved_frames t.st.State.drain
-let drain_policy t = t.st.State.drain_policy
-let set_drain_policy t p = t.st.State.drain_policy <- p
-let set_drain_batch t n = t.st.State.drain_batch <- max 1 n
 
 let on_checkpoint t cb = t.st.State.ckpt_callbacks <- t.st.State.ckpt_callbacks @ [ cb ]
 

@@ -22,7 +22,8 @@ type t
 
 val attach :
   ?active_cfg:Active_list.config -> ?features:State.features -> Kernel.t -> t
-(** Install hooks into a freshly booted kernel. *)
+(** Install hooks into a freshly booted kernel.  Raises [Invalid_argument]
+    when [features.drain] is [Lazy n] with [n < 1]. *)
 
 val state : t -> State.t
 val kernel : t -> Kernel.t
@@ -47,11 +48,11 @@ val next_deadline : t -> int option
 (** {2 Asynchronous drain}
 
     Entry points for the split-capture checkpoint
-    ([State.features.async_drain]); all are cheap no-ops when no drain
+    ([State.features.drain = Lazy n]); all are cheap no-ops when no drain
     window is pending. *)
 
 val drain_step : t -> int
-(** Copy a policy-sized batch of backlog pages; settles when the backlog
+(** Copy the next [n] backlog pages ([Lazy n]); settles when the backlog
     empties. Returns pages copied. *)
 
 val drain_settle : t -> unit
@@ -60,10 +61,6 @@ val drain_settle : t -> unit
 val drain_backlog : t -> int
 val drain_pending_version : t -> int option
 val drain_saved_frames : t -> Treesls_nvm.Paddr.t list
-val drain_policy : t -> Drain.policy
-val set_drain_policy : t -> Drain.policy -> unit
-val set_drain_batch : t -> int -> unit
-(** Backlog pages per [Lazy] drain step (clamped to >= 1). *)
 
 val on_checkpoint : t -> (unit -> unit) -> unit
 (** Register a checkpoint callback (external synchrony, §5); volatile —

@@ -10,7 +10,7 @@ type features = {
   mutable hybrid : bool;
   mutable incremental_walk : bool;
   mutable adaptive_interval : bool;
-  mutable async_drain : bool;
+  drain : Drain.policy;
 }
 
 type obj_cost = { full : Stats.t; incr : Stats.t; restore : Stats.t }
@@ -34,8 +34,6 @@ type t = {
   mutable index : Live_index.t option;
   mutable wear_mark : int;
   drain : Drain.t;
-  mutable drain_policy : Drain.policy;
-  mutable drain_batch : int;  (* Lazy policy: backlog pages copied per tick *)
 }
 
 let default_features () =
@@ -46,7 +44,7 @@ let default_features () =
     hybrid = true;
     incremental_walk = true;
     adaptive_interval = false;
-    async_drain = false;
+    drain = Drain.Eager;
   }
 
 let create kernel active_cfg features =
@@ -69,8 +67,6 @@ let create kernel active_cfg features =
     index = None;
     wear_mark = 0;
     drain = Drain.create ();
-    drain_policy = Drain.Lazy;
-    drain_batch = 8;
   }
 
 let oroot_for t obj ~version =

@@ -20,12 +20,13 @@ type features = {
       (** let the PID-style controller retune the checkpoint interval
           against a latency SLO at every commit (default off; see
           {!Interval_ctl}) *)
-  mutable async_drain : bool;
-      (** split the STW capture from the page copies: dirty DRAM-cached
-          pages are protected and enqueued at the STW, copied later by
-          {!Drain} steps, and the version commits at settle (default off;
-          requires track_dirty + copy_on_fault + hybrid and a non-Eager
-          {!Drain.policy} to take effect) *)
+  drain : Drain.policy;
+      (** the drain policy, fixed at boot.  [Eager] (default) copies dirty
+          DRAM-cached pages inside the STW.  [Lazy n] splits the STW
+          capture from those copies: the pages are protected and enqueued
+          at the STW, copied [n] per {!Drain} step, and the version
+          commits at settle.  [Lazy] needs track_dirty + copy_on_fault +
+          hybrid to take effect and degrades to eager without them *)
 }
 
 type obj_cost = {
@@ -72,9 +73,6 @@ type t = {
   drain : Drain.t;
       (** asynchronous-drain window state: backlog of owed page copies,
           CoW restamp/saved tables, and the staged (pending) version *)
-  mutable drain_policy : Drain.policy;
-  mutable drain_batch : int;
-      (** [Lazy] policy: backlog pages copied per drain step *)
 }
 
 val default_features : unit -> features

@@ -144,27 +144,33 @@ let obs t = t.obs
 let trace t = Probe.trace t.obs
 let metrics_snapshot t = Metrics.snapshot (Probe.metrics t.obs)
 
-(* Reserve an eternal PMO to back the trace ring, mirroring how TreeSLS
-   keeps always-persistent state (§5): eternal pages are materialised at
-   creation, walked by every checkpoint, and revived verbatim by restore
-   instead of rolling back — which is exactly the lifetime the trace
-   buffer needs to stay inspectable across a power failure.  The event
-   payload itself stays on the OCaml heap (writing each event through the
-   kernel would charge simulated time and perturb the measurement being
-   traced); the PMO models its NVM footprint at 64 bytes per slot. *)
-let ensure_eternal_backing t =
-  match Probe.backing_pmo t.obs with
+(* Reserve an eternal PMO of [bytes] for one piece of probe state, once:
+   [get]/[set] read and record the backing's PMO id on the probe, and
+   [instant] names the trace instant announcing it.  Eternal pages are
+   materialised at creation, walked by every checkpoint, and revived
+   verbatim by restore instead of rolling back (§5).  The payload itself
+   stays on the OCaml heap (writing it through the kernel would charge
+   simulated time and perturb the measurement); the PMO models its NVM
+   footprint.  Every backing is lazy, so systems that never ask for one
+   keep the same eternal-PMO layout — Ring.reattach resolves eternal PMOs
+   by creation order. *)
+let ensure_backing t ~get ~set ~instant ~bytes =
+  match get t.obs with
   | Some _ -> ()
   | None ->
     let k = kernel t in
-    let bytes = Trace.capacity (Probe.trace t.obs) * 64 in
     let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
     let pages = max 1 ((bytes + psz - 1) / psz) in
     let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_backing_pmo t.obs pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant "obs.eternal_backing"
+    set t.obs pmo.Treesls_cap.Kobj.pmo_id;
+    Probe.instant instant
       ~args:
         [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+
+(* The trace ring: 64 bytes per slot. *)
+let ensure_eternal_backing t =
+  ensure_backing t ~get:Probe.backing_pmo ~set:Probe.set_backing_pmo
+    ~instant:"obs.eternal_backing" ~bytes:(Trace.capacity (Probe.trace t.obs) * 64)
 
 let enable_tracing ?(verbose = false) ?(eternal_backing = true) t =
   Probe.install t.obs;
@@ -172,44 +178,19 @@ let enable_tracing ?(verbose = false) ?(eternal_backing = true) t =
   Probe.set_verbose t.obs verbose;
   if eternal_backing then ensure_eternal_backing t
 
-(* Like the trace ring's backing, but for the wearmap's per-page counters:
-   8 bytes of write count + 8 bytes written per NVM page.  Lazy (not at
-   boot) so systems that never ask for wear residency keep the same
-   eternal-PMO layout as before — Ring.reattach resolves eternal PMOs by
-   creation order. *)
+(* The wearmap's per-page counters: 8 bytes of write count + 8 bytes
+   written per NVM page. *)
 let ensure_wear_backing t =
-  match Probe.wear_backing_pmo t.obs with
-  | Some _ -> ()
-  | None ->
-    let k = kernel t in
-    let store = Kernel.store k in
-    let bytes = Treesls_nvm.Store.nvm_pages_total store * 16 in
-    let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
-    let pages = max 1 ((bytes + psz - 1) / psz) in
-    let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_wear_backing_pmo t.obs pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant "obs.wear_backing"
-      ~args:
-        [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+  ensure_backing t ~get:Probe.wear_backing_pmo ~set:Probe.set_wear_backing_pmo
+    ~instant:"obs.wear_backing" ~bytes:(Treesls_nvm.Store.nvm_pages_total (store t) * 16)
 
 let wearmap t = Probe.wearmap t.obs
 
-(* Same lazy eternal-backing pattern for the black box: one fixed-width
-   slot per tseries sample.  Lazy so existing eternal-PMO creation order
-   (trace ring, then wearmap) is undisturbed for Ring.reattach. *)
+(* The black box: one fixed-width slot per tseries sample. *)
 let ensure_tseries_backing t =
-  match Probe.tseries_backing_pmo t.obs with
-  | Some _ -> ()
-  | None ->
-    let k = kernel t in
-    let bytes = Treesls_obs.Tseries.backing_bytes (Probe.tseries t.obs) in
-    let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
-    let pages = max 1 ((bytes + psz - 1) / psz) in
-    let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_tseries_backing_pmo t.obs pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant "obs.tseries_backing"
-      ~args:
-        [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+  ensure_backing t ~get:Probe.tseries_backing_pmo ~set:Probe.set_tseries_backing_pmo
+    ~instant:"obs.tseries_backing"
+    ~bytes:(Treesls_obs.Tseries.backing_bytes (Probe.tseries t.obs))
 
 let tseries t = Probe.tseries t.obs
 let slo t = Probe.slo t.obs

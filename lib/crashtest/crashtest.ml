@@ -386,7 +386,7 @@ type config = {
   per_site_cap : int;  (* max hits sampled per site *)
   op_cap : int;  (* max DRAM-loss (and per-restore-site) op indices *)
   recovery_bug : bool;  (* deliberately break journal replay (must be caught) *)
-  async : bool;  (* run with the asynchronous drain on (Lazy, batch 1) *)
+  async : bool;  (* run with the asynchronous drain on ([Lazy 1]) *)
 }
 
 let default_config =
@@ -404,27 +404,19 @@ let default_config =
   }
 
 (* Boot one victim/twin system under the sweep's checkpoint mode.  Async
-   sweeps use the Lazy policy with a tiny batch so windows stay pending
-   across several ops — maximising the trace window in which the drain
-   crash sites and the CoW fault path are live. *)
+   sweeps use [Lazy 1] so windows stay pending across several ops —
+   maximising the trace window in which the drain crash sites and the CoW
+   fault path are live. *)
 let boot_sys cfg =
-  let sys =
-    if cfg.async then
-      (* hair-trigger promotion: one fault puts a page on the active list,
-         so the hot set is DRAM-cached (and hence drain-backlogged) within
-         the first couple of checkpoint windows even in short traces *)
-      System.boot
-        ~active_cfg:{ Treesls_ckpt.Active_list.default_config with hot_threshold = 1 }
-        ()
-    else System.boot ()
-  in
-  if cfg.async then begin
-    let mgr = System.manager sys in
-    (Treesls_ckpt.Manager.features mgr).Treesls_ckpt.State.async_drain <- true;
-    Treesls_ckpt.Manager.set_drain_policy mgr Treesls_ckpt.Drain.Lazy;
-    Treesls_ckpt.Manager.set_drain_batch mgr 1
-  end;
-  sys
+  if cfg.async then
+    (* hair-trigger promotion: one fault puts a page on the active list,
+       so the hot set is DRAM-cached (and hence drain-backlogged) within
+       the first couple of checkpoint windows even in short traces *)
+    System.boot
+      ~features:{ (Treesls_ckpt.State.default_features ()) with drain = Treesls_ckpt.Drain.Lazy 1 }
+      ~active_cfg:{ Treesls_ckpt.Active_list.default_config with hot_threshold = 1 }
+      ()
+  else System.boot ()
 
 let reproducer cfg p = Printf.sprintf "seed=%d;ops=%d;%s" cfg.seed cfg.ops (point_to_string p)
 

@@ -15,6 +15,7 @@ module Slab = Treesls_nvm.Slab
 module Global_meta = Treesls_nvm.Global_meta
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
+module Trace = Treesls_obs.Trace
 
 type severity = Info | Warning | Error
 type subsystem = Meta | Journal | Captree | Pages | Allocator | Eternal | Wear
@@ -390,19 +391,6 @@ let pp ppf r =
     Format.fprintf ppf "%d error(s), %d warning(s)" (errors r) (warnings r);
   List.iter (fun v -> Format.fprintf ppf "@\n  %a" pp_violation v) r.violations
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let violation_to_json v =
   let opt name = function
     | Some i -> Printf.sprintf ",\"%s\":%d" name i
@@ -414,7 +402,7 @@ let violation_to_json v =
     (match v.paddr with
     | Some p -> Printf.sprintf ",\"paddr\":\"%s\"" (Paddr.to_string p)
     | None -> "")
-    (json_escape v.message)
+    (Trace.json_escape v.message)
 
 let to_json r =
   Printf.sprintf
@@ -523,7 +511,7 @@ let pp_diff ppf d =
 let diff_to_json d =
   let obj (oid, kind, change) =
     Printf.sprintf {|{"obj_id":%d,"kind":"%s","change":"%s"}|} oid
-      (json_escape (Kobj.kind_name kind))
+      (Trace.json_escape (Kobj.kind_name kind))
       (change_name change)
   in
   let page (pmo_id, pno, cls) =

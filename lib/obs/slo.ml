@@ -175,6 +175,20 @@ let default_rules =
 
 (* --- evaluation ---------------------------------------------------- *)
 
+(* The change of a column over the newest two samples, with the time
+   between them.  Counters are registered on their first increment, so a
+   column absent from the earlier sample but present in the latest one
+   went from 0 to its value inside this window. *)
+let last_step ts col =
+  match Tseries.window ts ~n:2 with
+  | [ s0; s1 ] -> (
+    match Tseries.value ts s1 col with
+    | None -> None
+    | Some v1 ->
+      let v0 = Option.value ~default:0 (Tseries.value ts s0 col) in
+      Some (v1 - v0, s1.Tseries.sp_ts_ns - s0.Tseries.sp_ts_ns))
+  | _ -> None
+
 (* [None] means "no data yet" (missing column, no samples, unknown
    interval): the rule is skipped for this sample, not violated. *)
 let rec eval ts ~interval_ns e =
@@ -197,8 +211,11 @@ let rec eval ts ~interval_ns e =
     | Value -> Option.bind (latest_col col) scaled
     | P50 -> Option.bind (latest_col (col ^ ".p50_ns")) scaled
     | P99 -> Option.bind (latest_col (col ^ ".p99_ns")) scaled
-    | Rate -> Option.bind (Tseries.rate_per_s ts col ~n:2) scaled
-    | Delta -> Option.bind (Option.map float_of_int (Tseries.delta ts col ~n:2)) scaled
+    | Rate -> (
+      match last_step ts col with
+      | Some (dv, dt) when dt > 0 -> scaled (float_of_int dv *. 1e9 /. float_of_int dt)
+      | Some _ | None -> None)
+    | Delta -> Option.bind (last_step ts col) (fun (dv, _) -> scaled (float_of_int dv))
     | Ewma -> Option.bind (Tseries.ewma ts col ~alpha:0.3) scaled
     | Max -> Option.bind (Option.map float_of_int (Tseries.max_over ts col ~n:16)) scaled
     | Mean -> Option.bind (Tseries.mean_over ts col ~n:16) scaled)

@@ -1,9 +1,10 @@
 (* Asynchronous checkpoint drain (DESIGN.md §16): unit tests for the
-   lazy/deadline drain state machine, CoW-fault resolution against a
-   pending backlog, mid-drain crash recovery, and a property test that a
-   system checkpointed with the async drain restores byte-identically to
-   an eager twin driven by the same trace — under arbitrary interleavings
-   of app writes and drain steps. *)
+   [Lazy n] drain state machine (batched and [Lazy max_int]), CoW-fault
+   resolution against a pending backlog, mid-drain crash recovery, boot-time
+   policy validation, and a property test that a system checkpointed with
+   the async drain restores byte-identically to an eager twin driven by the
+   same trace — under arbitrary interleavings of app writes and drain
+   steps. *)
 
 module System = Treesls.System
 module Kernel = Treesls_kernel.Kernel
@@ -24,14 +25,7 @@ module Rng = Treesls_util.Rng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot_async ?(policy = Drain.Lazy) ?(batch = 1) () =
-  let f = State.default_features () in
-  f.State.async_drain <- true;
-  let sys = System.boot ~features:f () in
-  let mgr = System.manager sys in
-  Manager.set_drain_policy mgr policy;
-  Manager.set_drain_batch mgr batch;
-  sys
+let boot_with drain = System.boot ~features:{ (State.default_features ()) with State.drain } ()
 
 (* Build [n] DRAM-cached heap pages that are dirty right now, so the next
    checkpoint has exactly [n] hybrid-copy candidates: fault each page onto
@@ -66,7 +60,7 @@ let make_hot_pages sys n =
 (* ---- the lazy drain window: stage, step, settle ---- *)
 
 let lazy_staging () =
-  let sys = boot_async ~batch:2 () in
+  let sys = boot_with (Drain.Lazy 2) in
   ignore (make_hot_pages sys 5);
   let v0 = System.version sys in
   let r = System.checkpoint sys in
@@ -88,7 +82,7 @@ let lazy_staging () =
   check_int "audit clean" 0 (Audit.errors (System.audit sys))
 
 let cow_fault_resolution () =
-  let sys = boot_async ~batch:1 () in
+  let sys = boot_with (Drain.Lazy 1) in
   let p, vpn0 = make_hot_pages sys 4 in
   let k = System.kernel sys in
   let v0 = System.version sys in
@@ -110,7 +104,7 @@ let cow_fault_resolution () =
   check_int "audit clean" 0 (Audit.errors (System.audit sys))
 
 let mid_drain_crash () =
-  let sys = boot_async ~batch:1 () in
+  let sys = boot_with (Drain.Lazy 1) in
   ignore (make_hot_pages sys 4);
   let v0 = System.version sys in
   ignore (System.checkpoint sys);
@@ -128,8 +122,8 @@ let mid_drain_crash () =
   System.drain_settle sys;
   check_int "audit clean after new work" 0 (Audit.errors (System.audit sys))
 
-let deadline_policy () =
-  let sys = boot_async ~policy:Drain.Deadline () in
+let unbounded_batch () =
+  let sys = boot_with (Drain.Lazy max_int) in
   ignore (make_hot_pages sys 6);
   let v0 = System.version sys in
   ignore (System.checkpoint sys);
@@ -140,7 +134,7 @@ let deadline_policy () =
   check_int "audit clean" 0 (Audit.errors (System.audit sys))
 
 let eager_policy_fallback () =
-  let sys = boot_async ~policy:Drain.Eager () in
+  let sys = boot_with Drain.Eager in
   ignore (make_hot_pages sys 3);
   let v0 = System.version sys in
   let r = System.checkpoint sys in
@@ -148,6 +142,14 @@ let eager_policy_fallback () =
   check_int "committed at the STW" (v0 + 1) (System.version sys);
   check_int "pages stop-and-copied inside the pause" 3 r.Report.dram_dirty_copied;
   check_int "nothing drained" 0 r.Report.pages_drained
+
+let empty_batch_rejected () =
+  List.iter
+    (fun n ->
+      match boot_with (Drain.Lazy n) with
+      | _ -> Alcotest.failf "Lazy %d accepted at boot" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 (* ---- restore equivalence under randomized traces + drain interleaving ---- *)
 
@@ -248,27 +250,25 @@ let apply sys ~drain_gap ops =
 let prop_async_restore_equivalence =
   QCheck.Test.make
     ~name:"async-drain restore = eager restore (random traces, audit clean)" ~count:6
-    QCheck.(pair (int_bound 10_000) (pair (int_range 60 160) (int_bound 5)))
-    (fun (seed, (nops, drain_gap)) ->
+    QCheck.(
+      triple (int_bound 10_000)
+        (pair (int_range 60 160) (int_bound 5))
+        (oneofl [ Drain.Lazy 1; Drain.Lazy 8; Drain.Lazy max_int ]))
+    (fun (seed, (nops, drain_gap), policy) ->
       let trace = gen_trace (Rng.create (Int64.of_int seed)) nops in
-      let run async =
-        let f = State.default_features () in
-        f.State.async_drain <- async;
+      let run drain =
         let sys =
-          System.boot ~features:f
+          System.boot
+            ~features:{ (State.default_features ()) with State.drain }
             ~active_cfg:{ Active_list.default_config with Active_list.hot_threshold = 1 }
             ()
         in
-        if async then begin
-          Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-          Manager.set_drain_batch (System.manager sys) 1
-        end;
         apply sys ~drain_gap trace;
         ignore (System.crash_and_recover sys);
         sys
       in
-      let sys_e = run false in
-      let sys_a = run true in
+      let sys_e = run Drain.Eager in
+      let sys_a = run policy in
       System.version sys_e = System.version sys_a
       && fingerprint sys_e = fingerprint sys_a
       && Audit.errors (System.audit sys_e) = 0
@@ -284,9 +284,10 @@ let () =
           Alcotest.test_case "lazy stage/step/settle" `Quick lazy_staging;
           Alcotest.test_case "cow fault resolves a backlogged page" `Quick cow_fault_resolution;
           Alcotest.test_case "mid-drain crash restores cleanly" `Quick mid_drain_crash;
-          Alcotest.test_case "deadline drains in one tick" `Quick deadline_policy;
+          Alcotest.test_case "Lazy max_int drains in one tick" `Quick unbounded_batch;
           Alcotest.test_case "eager policy falls back to stop-and-copy" `Quick
             eager_policy_fallback;
+          Alcotest.test_case "Lazy n < 1 rejected at boot" `Quick empty_batch_rejected;
         ] );
       ("properties", qsuite);
     ]

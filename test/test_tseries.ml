@@ -163,6 +163,25 @@ let watchdog_eval () =
   let alerts = Slo.check slo ts ~interval_ns:None in
   check_int "interval rule skipped without an interval" 0 (List.length alerts)
 
+(* The ring's drop counter is registered on its first drop, so the sample
+   before a burst has no cell for it: the burst confined to one window must
+   still fire the rate rule (the missing cell counts as 0), once. *)
+let watchdog_first_burst () =
+  let ts = Tseries.create () in
+  let slo = Slo.create () in
+  let at ~ts_ns ~version extra =
+    Tseries.record ts ~ts_ns ~version ([ ("ckpt.nvm.waf", 100) ] @ extra);
+    Slo.check slo ts ~interval_ns:None
+  in
+  check_int "quiet first window" 0 (List.length (at ~ts_ns:1_000_000 ~version:1 []));
+  (match at ~ts_ns:2_000_000 ~version:2 [ ("extsync.ring.dropped", 5) ] with
+  | [ a ] ->
+    check_string "the drop-rate rule fired" "rate(ring.dropped) == 0" a.Slo.al_rule;
+    Alcotest.(check (float 1e-9)) "5 drops over 1ms" 5000.0 a.Slo.al_value
+  | alerts -> Alcotest.failf "expected one alert, got %d" (List.length alerts));
+  check_int "no drops in the next window" 0
+    (List.length (at ~ts_ns:3_000_000 ~version:3 [ ("extsync.ring.dropped", 5) ]))
+
 let watchdog_no_data () =
   let ts = Tseries.create () in
   let slo = Slo.create () in
@@ -375,6 +394,7 @@ let () =
         [
           Alcotest.test_case "rule round-trip" `Quick rule_roundtrip;
           Alcotest.test_case "watchdog evaluation" `Quick watchdog_eval;
+          Alcotest.test_case "first drop burst fires the rate rule" `Quick watchdog_first_burst;
           Alcotest.test_case "no data is skipped" `Quick watchdog_no_data;
           Alcotest.test_case "custom rules" `Quick watchdog_custom_rules;
         ] );
