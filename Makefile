@@ -32,7 +32,7 @@ bench-fresh:
 	rm -rf $(BENCH_FRESH) && mkdir -p $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp extsync_lat --smoke --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp incr_walk --smoke --audit --json-dir $(BENCH_FRESH)
-	dune exec bench/main.exe -- --exp crashtest --smoke --json-dir $(BENCH_FRESH)
+	dune exec bench/main.exe -- --exp crashtest --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp wear --smoke --audit --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp rto --smoke --audit --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp adaptive --smoke --json-dir $(BENCH_FRESH)

@@ -19,7 +19,13 @@
      them.
 
    The full (non-smoke) run must explore >= 200 distinct (commit point x
-   phase) schedules; --smoke shrinks the trace for `make ci`. *)
+   phase) schedules; --smoke shrinks the trace.
+
+   Every schedule boots a victim and a twin, so boot host time bounds the
+   sweep: the median of 5 boots at 1<<16 and 1<<18 NVM pages is printed,
+   and a 1<<18 median above 50 ms exits 2 (boot must not grow with NVM
+   size).  Host figures are printed, never written to the BENCH json, so
+   its columns stay deterministic. *)
 
 open Exp_common
 module C = Treesls_crashtest.Crashtest
@@ -28,6 +34,25 @@ module Warea = Treesls_nvm.Warea
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("crashtest: " ^ m); exit 2) fmt
 
 let min_commit_schedules_full = 200
+
+(* Median host time of [System.boot] at [nvm_pages], in milliseconds. *)
+let boot_ms ~nvm_pages =
+  let reps = 5 in
+  let samples =
+    Array.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (System.boot ~nvm_pages ());
+        Unix.gettimeofday () -. t0)
+  in
+  Array.sort compare samples;
+  1e3 *. samples.(reps / 2)
+
+let boot_gate () =
+  let small = boot_ms ~nvm_pages:(1 lsl 16) in
+  let large = boot_ms ~nvm_pages:(1 lsl 18) in
+  Printf.printf "host gate: boot %.1f ms at 1<<16 NVM pages, %.1f ms at 1<<18 (gate 50 ms)\n%!"
+    small large;
+  if large > 50.0 then die "boot at 1<<18 NVM pages takes %.1f ms (gate 50 ms)" large
 
 let run () =
   let cfg =
@@ -131,4 +156,5 @@ let run () =
         ("async_schedules", float_of_int (List.length async_sweep.C.results));
         ("async_failed", float_of_int (List.length async_sweep.C.failed));
         ("selftest_caught", float_of_int (List.length bug_sweep.C.failed));
-      ]
+      ];
+  boot_gate ()

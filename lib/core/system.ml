@@ -37,6 +37,9 @@ let adaptive_on_sample t =
 
 let boot ?cost ?ncores ?nvm_pages ?dram_pages ?interval_us ?features ?active_cfg
     ?trace_capacity ?tseries_capacity ?adaptive_cfg () =
+  (* Kernel boot journals the allocator formats; with an earlier system's
+     probe still ambient, those words would land in its telemetry. *)
+  Probe.uninstall ();
   let kernel = Kernel.boot ?cost ?ncores ?nvm_pages ?dram_pages () in
   let mgr = Manager.attach ?active_cfg ?features kernel in
   (match interval_us with Some us -> Manager.set_interval mgr (Some (us * 1000)) | None -> ());

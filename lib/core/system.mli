@@ -35,8 +35,10 @@ val boot :
   unit ->
   t
 (** Boot. [interval_us] enables periodic checkpointing (e.g. 1000 for the
-    paper's 1 ms / 1000 Hz configuration).  Boot also creates and installs
-    this system's observability probe (metrics on, tracing off;
+    paper's 1 ms / 1000 Hz configuration).  Boot first uninstalls any
+    ambient probe, so the kernel boot it runs writes into no earlier
+    system's telemetry, then creates and installs this system's
+    observability probe (metrics on, tracing off;
     [trace_capacity] sizes the event ring — see {!enable_tracing};
     [tseries_capacity] sizes the black-box sample ring).  [adaptive_cfg]
     configures the adaptive-interval controller, which acts only while

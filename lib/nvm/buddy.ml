@@ -1,10 +1,18 @@
+(* Zero means free.  Tree node [i] of natural size [s] stores
+   [s - longest free run below it], the counter stores used pages and an
+   order tag stores [order + 1] (0 = none), so an all-zero area is a fully
+   free allocator and [format] journals one word.  A fully free node always
+   has an all-zero subtree: [alloc_txn] only claims a fully free node (its
+   subtree stays zero while the block is live), [free_txn] zeroes the
+   block's node again, and a parent only reads 0 once both children do. *)
 type t = {
   area : Warea.t;
   base : int;
   total : int; (* pages; power of two *)
+  top : int; (* log2 total: the root's order *)
   tree : int; (* word offset of tree[1..2*total) *)
   orders : int; (* word offset of per-page alloc order (+1; 0 = none) *)
-  free_count : int; (* word offset of the free page counter *)
+  used_count : int; (* word offset of the used page counter *)
 }
 
 let words_needed ~total_pages = (2 * total_pages) + total_pages + 1
@@ -16,70 +24,60 @@ let layout area ~base ~total_pages =
     area;
     base;
     total = total_pages;
+    top = Treesls_util.Bits.log2_int total_pages;
     tree = base;
     orders = base + (2 * total_pages);
-    free_count = base + (2 * total_pages) + total_pages;
+    used_count = base + (2 * total_pages) + total_pages;
   }
-
-(* Tree node [i] (1-indexed) covers [node_size i] pages. *)
-let node_size t i =
-  let depth_size = ref t.total in
-  let j = ref i in
-  while !j > 1 do
-    j := !j / 2;
-    depth_size := !depth_size / 2
-  done;
-  !depth_size
 
 let format area ~base ~total_pages =
   let t = layout area ~base ~total_pages in
+  (* The zero-filled area already reads as all free; the one-word
+     transaction keeps format a single commit point. *)
   let txn = Txn.create area in
-  for i = 1 to (2 * total_pages) - 1 do
-    Txn.write txn (t.tree + i) (node_size t i)
-  done;
-  for p = 0 to total_pages - 1 do
-    Txn.write txn (t.orders + p) 0
-  done;
-  Txn.write txn t.free_count total_pages;
+  Txn.write txn t.used_count 0;
   Txn.commit txn ~desc:"buddy-format";
   t
 
 let attach area ~base ~total_pages = layout area ~base ~total_pages
 
 let total_pages t = t.total
-let free_pages t = Warea.read t.area t.free_count
+let free_pages t = t.total - Warea.read t.area t.used_count
 
-let longest txn t i = Txn.read txn (t.tree + i)
+(* Longest free run below [node] of natural size [size]. *)
+let longest txn t node size = size - Txn.read txn (t.tree + node)
+
+(* Re-derive the ancestors of [node] (natural size [size]) after it
+   changed: a parent of two fully free children is fully free, else its
+   longest run is its children's longer one. *)
+let rec fix_up txn t node size =
+  if node > 1 then begin
+    let parent = node / 2 in
+    let l = Txn.read txn (t.tree + (2 * parent)) and r = Txn.read txn (t.tree + (2 * parent) + 1) in
+    Txn.write txn (t.tree + parent) (if l = 0 && r = 0 then 0 else size + if l < r then l else r);
+    fix_up txn t parent (2 * size)
+  end
 
 let alloc_txn txn t ~order =
   if order < 0 || 1 lsl order > t.total then invalid_arg "Buddy.alloc: bad order";
   let size = 1 lsl order in
-  if longest txn t 1 < size then None
+  if longest txn t 1 t.total < size then None
   else begin
-    (* Descend to a node of exactly [size] whose subtree has a free run. *)
+    (* Descend to a node of exactly [size] whose subtree has a free run,
+       preferring the left child. *)
     let rec descend node nsize =
       if nsize = size then node
       else begin
-        let left = 2 * node in
-        if longest txn t left >= size then descend left (nsize / 2)
-        else descend (left + 1) (nsize / 2)
+        let left = 2 * node and half = nsize / 2 in
+        if longest txn t left half >= size then descend left half else descend (left + 1) half
       end
     in
     let node = descend 1 t.total in
     let offset = (node * size) - t.total in
-    Txn.write txn (t.tree + node) 0;
-    (* Recompute ancestors with the pending overlay. *)
-    let rec up node =
-      if node > 1 then begin
-        let parent = node / 2 in
-        let l = longest txn t (2 * parent) and r = longest txn t ((2 * parent) + 1) in
-        Txn.write txn (t.tree + parent) (if l > r then l else r);
-        up parent
-      end
-    in
-    up node;
+    Txn.write txn (t.tree + node) size;
+    fix_up txn t node size;
     Txn.write txn (t.orders + offset) (order + 1);
-    Txn.write txn t.free_count (Txn.read txn t.free_count - size);
+    Txn.write txn t.used_count (Txn.read txn t.used_count + size);
     Some offset
   end
 
@@ -87,23 +85,12 @@ let free_txn txn t ~offset =
   if offset < 0 || offset >= t.total then invalid_arg "Buddy.free: bad offset";
   let tag = Txn.read txn (t.orders + offset) in
   if tag = 0 then invalid_arg "Buddy.free: not a live allocation";
-  let order = tag - 1 in
-  let size = 1 lsl order in
+  let size = 1 lsl (tag - 1) in
   let node = (t.total + offset) / size in
-  Txn.write txn (t.tree + node) size;
+  Txn.write txn (t.tree + node) 0;
   Txn.write txn (t.orders + offset) 0;
-  let rec up node nsize =
-    if node > 1 then begin
-      let parent = node / 2 in
-      let psize = nsize * 2 in
-      let l = longest txn t (2 * parent) and r = longest txn t ((2 * parent) + 1) in
-      let merged = if l = nsize && r = nsize then psize else if l > r then l else r in
-      Txn.write txn (t.tree + parent) merged;
-      up parent psize
-    end
-  in
-  up node size;
-  Txn.write txn t.free_count (Txn.read txn t.free_count + size)
+  fix_up txn t node size;
+  Txn.write txn t.used_count (Txn.read txn t.used_count - size)
 
 let alloc t ~order =
   let txn = Txn.create t.area in
@@ -133,45 +120,45 @@ let live_pages t =
   iter_live t (fun ~offset:_ ~order -> n := !n + (1 lsl order));
   !n
 
-let check_invariants t =
-  (* Recompute the expected tree from the allocation-order array. A page is
-     free iff it is not covered by any live allocation. *)
-  let covered = Array.make t.total false in
-  let free_total = ref t.total in
-  for p = 0 to t.total - 1 do
-    let tag = Warea.read t.area (t.orders + p) in
-    if tag > 0 then begin
-      let size = 1 lsl (tag - 1) in
-      if p mod size <> 0 then failwith "buddy: misaligned allocation record";
-      for q = p to p + size - 1 do
-        if covered.(q) then failwith "buddy: overlapping allocations";
-        covered.(q) <- true
-      done;
-      free_total := !free_total - size
+(* One pass over node [node] of order [k] covering pages [lo, lo + 2^k),
+   [inside] a live block or not; returns the pages its blocks cover.  A
+   block is the node whose first page carries tag [k + 1].  Every stored
+   node is checked: under a live block it must still read 0 (fully free,
+   so a later free is exact), elsewhere it must match its children, which
+   are checked first. *)
+let rec check_node t node k lo inside =
+  let tag = Warea.read t.area (t.orders + lo) in
+  let block = tag = k + 1 in
+  if block && inside then failwith "buddy: overlapping allocations";
+  let below =
+    if k = 0 then begin
+      if tag > 0 && (tag - 1 > t.top || lo land ((1 lsl (tag - 1)) - 1) <> 0) then
+        failwith "buddy: misaligned allocation record";
+      0
     end
-  done;
-  if Warea.read t.area t.free_count <> !free_total then
+    else begin
+      let inner = inside || block in
+      check_node t (2 * node) (k - 1) lo inner
+      + check_node t ((2 * node) + 1) (k - 1) (lo + (1 lsl (k - 1))) inner
+    end
+  in
+  let expected =
+    if block then 1 lsl k
+    else if inside || k = 0 then 0
+    else begin
+      let l = Warea.read t.area (t.tree + (2 * node))
+      and r = Warea.read t.area (t.tree + (2 * node) + 1) in
+      if l = 0 && r = 0 then 0 else (1 lsl (k - 1)) + if l < r then l else r
+    end
+  in
+  let got = Warea.read t.area (t.tree + node) in
+  if got <> expected then
+    failwith (Printf.sprintf "buddy: node %d stores %d <> expected %d" node got expected);
+  if block then 1 lsl k else below
+
+let check_invariants t =
+  let used = check_node t 1 t.top 0 false in
+  let stored = Warea.read t.area t.used_count in
+  if stored <> used then
     failwith
-      (Printf.sprintf "buddy: free count %d <> recomputed %d"
-         (Warea.read t.area t.free_count) !free_total);
-  (* Bottom-up recomputation of [longest]. A node is wholly free only if
-     both children are wholly free; otherwise it offers the max child run. *)
-  let expect = Array.make (2 * t.total) 0 in
-  for p = 0 to t.total - 1 do
-    expect.(t.total + p) <- (if covered.(p) then 0 else 1)
-  done;
-  for node = t.total - 1 downto 1 do
-    let size = node_size t node in
-    let l = expect.(2 * node) and r = expect.((2 * node) + 1) in
-    expect.(node) <- (if l = size / 2 && r = size / 2 then size else if l > r then l else r)
-  done;
-  for node = 1 to (2 * t.total) - 1 do
-    let got = Warea.read t.area (t.tree + node) in
-    (* A block allocated at order k zeroes its node but leaves descendants'
-       stored values stale by design (they are never consulted while an
-       ancestor is allocated); only check nodes not under a live block. *)
-    let rec under_alloc i = i >= 1 && (Warea.read t.area (t.tree + i) = 0 || under_alloc (i / 2)) in
-    let parent_allocated = node > 1 && under_alloc (node / 2) in
-    if (not parent_allocated) && got <> expect.(node) then
-      failwith (Printf.sprintf "buddy: node %d longest %d <> expected %d" node got expect.(node))
-  done
+      (Printf.sprintf "buddy: free count %d <> recomputed %d" (t.total - stored) (t.total - used))

@@ -2,10 +2,13 @@
 
     The checkpoint manager "uses a buddy system to manage all NVM resources"
     (§3).  State is a complete binary tree stored in the journaled word area
-    ({!Warea}): node [i] records the size of the largest free run of pages
-    below it, so allocation descends in O(log n) and freeing merges buddies
-    by recomputing ancestors.  A parallel array records the order of each
-    live allocation so that a mismatched [free] is detected.
+    ({!Warea}): node [i] records how far the largest free run of pages below
+    it falls short of the node's natural size, so allocation descends in
+    O(log n) and freeing merges buddies by recomputing ancestors.  A
+    parallel array records the order of each live allocation (order + 1;
+    0 = none) so that a mismatched [free] is detected, and one counter word
+    records the used pages.  Every word therefore reads 0 when its pages are
+    free: an all-zero area is a fully free allocator.
 
     Every mutation goes through a {!Txn}; a crash at any phase leaves the
     tree either before or after the whole operation. *)
@@ -17,13 +20,17 @@ val words_needed : total_pages:int -> int
     two). *)
 
 val format : Warea.t -> base:int -> total_pages:int -> t
-(** Initialise a fresh allocator (boot time; all pages free). *)
+(** Initialise a fresh allocator (boot time; all pages free).  The
+    [words_needed] words from [base] must be zero-filled, as
+    {!Warea.create} leaves them: format then journals one word (the used
+    page counter) in one transaction, whatever [total_pages] is. *)
 
 val attach : Warea.t -> base:int -> total_pages:int -> t
 (** Re-attach to existing state after a crash (no reformat). *)
 
 val total_pages : t -> int
 val free_pages : t -> int
+(** [total_pages] minus the stored used-page counter. *)
 
 val alloc_txn : Txn.t -> t -> order:int -> int option
 (** Reserve a block of [2^order] pages inside an open transaction; returns
@@ -52,5 +59,7 @@ val live_pages : t -> int
     free counter is consistent). *)
 
 val check_invariants : t -> unit
-(** Recompute the tree bottom-up and compare with stored state; verify the
-    free-page count. Raises [Failure] on divergence (test helper). *)
+(** One allocation-free pass over the tree and order tags: rejects a
+    misaligned tag, overlapping blocks, a node that disagrees with its
+    children (or, under a live block, is not 0) and a wrong page counter.
+    Raises [Failure] on divergence. *)

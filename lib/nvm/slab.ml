@@ -28,13 +28,9 @@ let bitmap_word t cls slot = page_word t cls slot + 1
 
 let format area ~base ~buddy ~page_size ~max_slabs_per_class =
   let t = layout area ~base ~buddy ~page_size ~max_slabs_per_class in
+  (* Empty slots are all-zero words, which a fresh area already holds; the
+     one-word transaction keeps format a single commit point. *)
   let txn = Txn.create area in
-  for cls = 0 to nclasses - 1 do
-    for slot = 0 to max_slabs_per_class - 1 do
-      Txn.write txn (page_word t cls slot) 0;
-      Txn.write txn (bitmap_word t cls slot) 0
-    done
-  done;
   Txn.write txn t.live_word 0;
   Txn.commit txn ~desc:"slab-format";
   t

@@ -21,6 +21,10 @@ val words_needed : max_slabs_per_class:int -> int
 
 val format :
   Warea.t -> base:int -> buddy:Buddy.t -> page_size:int -> max_slabs_per_class:int -> t
+(** Initialise empty slab headers (boot time).  The [words_needed] words
+    from [base] must be zero-filled, as {!Warea.create} leaves them: an
+    empty slot is all-zero words, so format journals one word (the live
+    counter) in one transaction. *)
 
 val attach :
   Warea.t -> base:int -> buddy:Buddy.t -> page_size:int -> max_slabs_per_class:int -> t

@@ -301,6 +301,67 @@ let buddy_random_ops () =
   done;
   Buddy.check_invariants b
 
+(* Placement is part of the allocator's contract: every recorded BENCH
+   number and crash schedule depends on which offset each alloc returns.
+   A fixed-seed mix of 2,000 allocs (orders 0-4) and frees at 1024 pages
+   must return the recorded offset sequence (-1 for a failed alloc),
+   pinned as its length, failure count and FNV-1a digest. *)
+let buddy_golden_placement () =
+  let _, b = mk_buddy 1024 in
+  let rng = Rng.create 1414L in
+  let live = ref [] in
+  let offsets = ref [] in
+  for _ = 1 to 2_000 do
+    if !live = [] || Rng.int rng 5 < 3 then begin
+      match Buddy.alloc b ~order:(Rng.int rng 5) with
+      | Some p ->
+        live := p :: !live;
+        offsets := p :: !offsets
+      | None -> offsets := -1 :: !offsets
+    end
+    else begin
+      let p = List.nth !live (Rng.int rng (List.length !live)) in
+      Buddy.free b ~offset:p;
+      live := List.filter (fun q -> q <> p) !live
+    end
+  done;
+  Buddy.check_invariants b;
+  let offsets = List.rev !offsets in
+  let digest =
+    List.fold_left (fun h off -> (h lxor (off + 1)) * 0x100000001b3 land max_int) 0x3bf29ce484222325
+      offsets
+  in
+  check_int "allocs" 1232 (List.length offsets);
+  check_int "failed allocs" 193 (List.length (List.filter (fun o -> o < 0) offsets));
+  check_int "offset digest" 2359034858956527753 digest
+
+(* The audit must stay strict: each single-word corruption of the
+   allocator's words is caught.  Written against raw {!Warea} words via the
+   layout (tree nodes at [1..2N), per-page order tags at [2N..3N), the
+   page counter at [3N]) and an off-by-one, so it holds for any encoding
+   of those words. *)
+let buddy_audit_detects_corruption () =
+  let pages = 16 in
+  let tree i = i and tag p = (2 * pages) + p and counter = 3 * pages in
+  let corrupted name corrupt =
+    let w, b = mk_buddy pages in
+    (* a block of 4 at pages 0-3 and a single page at 4: node 2 (pages
+       0-7) is partly used *)
+    check_int (name ^ ": order-2 block") 0 (Option.get (Buddy.alloc b ~order:2));
+    check_int (name ^ ": order-0 block") 4 (Option.get (Buddy.alloc b ~order:0));
+    Buddy.check_invariants b;
+    let i, v = corrupt () in
+    Warea.commit w ~desc:"corrupt" [ (i, v (Warea.read w i)) ];
+    check_bool name true
+      (match Buddy.check_invariants b with () -> false | exception Failure _ -> true)
+  in
+  corrupted "tree word off by one" (fun () -> (tree 2, succ));
+  corrupted "counter off by one" (fun () -> (counter, succ));
+  (* page 5 is free; an order-1 tag there is not 2-page aligned *)
+  corrupted "misaligned tag" (fun () -> (tag 5, fun _ -> 2));
+  (* page 2 lies inside the live order-2 block at 0 *)
+  corrupted "tag inside a live block" (fun () -> (tag 2, fun _ -> 1))
+
 (* ---- Slab ---- *)
 
 let mk_slab () =
@@ -427,6 +488,17 @@ let store_charges_time () =
   let t0 = Clock.now (Store.clock s) in
   ignore (Store.alloc_page s);
   check_bool "time advanced" true (Clock.now (Store.clock s) > t0)
+
+(* Formatting the allocators is O(1) in NVM size: a fresh word area is
+   already zero-filled, so at 1<<18 pages the buddy and slab formats
+   journal at most a word each, yet still take one commit point each
+   (crash-schedule numbering depends on it). *)
+let store_create_journals_o1 () =
+  let s = Store.create ~clock:(Clock.create ()) ~nvm_pages:(1 lsl 18) ~dram_pages:8 () in
+  let w = Store.warea s in
+  check_bool "at most 2 words journaled" true (Warea.words_written w <= 2);
+  check_int "2 commit points" 2 (Warea.commit_points w);
+  check_int "all free" (1 lsl 18) (Store.nvm_pages_free s)
 
 let store_sink_redirect () =
   let s = mk_store () in
@@ -621,6 +693,8 @@ let () =
           Alcotest.test_case "crash after-log" `Quick (buddy_crash_during_alloc Warea.After_log);
           Alcotest.test_case "crash mid-apply" `Quick (buddy_crash_during_alloc Warea.Mid_apply);
           Alcotest.test_case "random ops keep invariants" `Quick buddy_random_ops;
+          Alcotest.test_case "golden placement" `Quick buddy_golden_placement;
+          Alcotest.test_case "audit detects corruption" `Quick buddy_audit_detects_corruption;
         ] );
       ( "slab",
         [
@@ -642,6 +716,7 @@ let () =
         [
           Alcotest.test_case "page alloc/free" `Quick store_pages;
           Alcotest.test_case "charges simulated time" `Quick store_charges_time;
+          Alcotest.test_case "create journals O(1) words" `Quick store_create_journals_o1;
           Alcotest.test_case "sink redirect" `Quick store_sink_redirect;
           Alcotest.test_case "dram exhaustion" `Quick store_dram_exhaustion;
           Alcotest.test_case "page io + copy" `Quick store_page_io;

@@ -12,6 +12,7 @@ module Store = Treesls_nvm.Store
 module Kv_app = Treesls_apps.Kv_app
 module Kvstore = Treesls_apps.Kvstore
 module Rng = Treesls_util.Rng
+module Metrics = Treesls_obs.Metrics
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -280,6 +281,30 @@ let prop_repeated_crashes =
       done;
       !ok)
 
+(* ---- two systems in one process ---- *)
+
+(* Booting B must not write into A's telemetry: B's kernel boot journals
+   its allocator formats before B installs its own probe, and A's probe is
+   the one still ambient at that point. *)
+let second_boot_leaves_first_telemetry () =
+  let a = System.boot () in
+  let app = Kv_app.launch ~keys_hint:100 a Kv_app.Memcached in
+  Kv_app.set_i app 1;
+  ignore (System.checkpoint a);
+  let metrics = Treesls_obs.Probe.metrics (System.obs a) in
+  let reading () =
+    ( Treesls_obs.Wearmap.total_bytes (System.wearmap a),
+      Metrics.counter_value metrics "nvm.txn.words",
+      Metrics.counter_value metrics "nvm.txn.commits" )
+  in
+  let bytes0, words0, commits0 = reading () in
+  check_bool "A has journal telemetry" true (words0 > 0 && commits0 > 0);
+  let _b = System.boot () in
+  let bytes1, words1, commits1 = reading () in
+  check_int "A wearmap bytes unchanged" bytes0 bytes1;
+  check_int "A nvm.txn.words unchanged" words0 words1;
+  check_int "A nvm.txn.commits unchanged" commits0 commits1
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_crash_equals_committed_model; prop_repeated_crashes ]
 
@@ -301,6 +326,11 @@ let () =
           Alcotest.test_case "crash after-log" `Quick (crash_in_allocator Warea.After_log);
           Alcotest.test_case "crash mid-apply" `Quick (crash_in_allocator Warea.Mid_apply);
           Alcotest.test_case "crash after-apply" `Quick (crash_in_allocator Warea.After_apply);
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "second boot leaves first telemetry" `Quick
+            second_boot_leaves_first_telemetry;
         ] );
       ("properties", qsuite);
     ]
