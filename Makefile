@@ -51,8 +51,21 @@ cli:
 	dune exec bin/treesls_cli.exe -- serve --tenants 2 -n 100 --json --eager | python3 -m json.tool > /dev/null
 	dune exec bin/treesls_cli.exe -- ckpt
 
+# No process-global mutable state in lib/: every piece of state belongs to
+# the system it describes (its store, probe or kernel).  Fails on a
+# top-level `let x = ref ...`, `Hashtbl.create`, `Atomic.make` or
+# `Domain.DLS.new_key` in lib/**/*.ml.  The one allowed match:
+# Probe.last_opener backs Probe.req_current for callers with no probe handle.
+GLOBALS_RE := ^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *= *(ref\b|Hashtbl\.create|Atomic\.make|Domain\.DLS\.new_key)
+GLOBALS_ALLOW := ^lib/obs/probe\.ml:[0-9]+:let last_opener
+globals:
+	@if grep -rnE --include='*.ml' "$(GLOBALS_RE)" lib | grep -vE '$(GLOBALS_ALLOW)'; then \
+		echo "globals: top-level mutable state in lib/ (above); give it an owner"; exit 1; \
+	else echo "globals: ok"; fi
+
 ci:
 	dune build @all
+	$(MAKE) globals
 	dune runtest
 	$(MAKE) cli
 	$(MAKE) fmt
@@ -68,4 +81,4 @@ bench:
 bench-audit:
 	dune exec bench/main.exe -- --audit
 
-.PHONY: all test fmt cli ci bench bench-fresh bench-diff bench-audit
+.PHONY: all test fmt cli globals ci bench bench-fresh bench-diff bench-audit

@@ -13,6 +13,9 @@ module Id_gen = Treesls_cap.Id_gen
 module Probe = Treesls_obs.Probe
 
 let now st = Clock.now (Kernel.clock st.State.kernel)
+let probe st = Kernel.probe st.State.kernel
+let wearmap st = Probe.wearmap (probe st)
+let hit st site = Crash_site.hit (Store.crash_sites (Kernel.store st.State.kernel)) site
 
 let archive_page st pmo pno paddr =
   match st.State.page_archive_hook with Some h -> h pmo pno paddr | None -> ()
@@ -46,7 +49,7 @@ let checkpoint_object st index obj ~new_ver =
   Oroot.save oroot ~version:new_ver snap;
   (* the snapshot lands in the ORoot's NVM slot: physical bytes, but no
      single device page backs the (modeled) object store *)
-  Probe.wear_note ~subsystem:"ckpt.snapshot" ~bytes:(Snapshot.bytes snap);
+  Treesls_obs.Wearmap.note (wearmap st) ~subsystem:"ckpt.snapshot" ~bytes:(Snapshot.bytes snap);
   (match obj with
   | Kobj.Pmo pmo when pmo.Kobj.pmo_kind = Kobj.Pmo_normal ->
     let pages = Oroot.pages_exn oroot in
@@ -151,7 +154,7 @@ let hybrid_sublist st ~new_ver entries counters =
               e.Active_list.e_idle <- 0;
               Kernel.clear_page_dirty kernel pmo ~pno;
               incr migrated_in;
-              Crash_site.hit "ckpt.hybrid.migrated_in"
+              hit st "ckpt.hybrid.migrated_in"
             | Some _ | None -> ())
         end
         else begin
@@ -179,7 +182,7 @@ let hybrid_sublist st ~new_ver entries counters =
               Kernel.clear_page_dirty kernel pmo ~pno;
               e.Active_list.e_idle <- 0;
               incr dirty_copied;
-              Crash_site.hit "ckpt.hybrid.copied"
+              hit st "ckpt.hybrid.copied"
             end
           end
           else begin
@@ -197,7 +200,7 @@ let hybrid_sublist st ~new_ver entries counters =
               e.Active_list.e_dram <- false;
               Active_list.drop st.State.active e;
               incr migrated_out;
-              Crash_site.hit "ckpt.hybrid.migrated_out"
+              hit st "ckpt.hybrid.migrated_out"
             end
           end
         end)
@@ -209,58 +212,56 @@ let hybrid_sublist st ~new_ver entries counters =
    index, so only a commit whose walk rebuilt it ([live]) can find any. *)
 let commit_version st live =
   Global_meta.commit_checkpoint (Store.meta (Kernel.store st.State.kernel));
-  Crash_site.hit "ckpt.version_bump";
+  hit st "ckpt.version_bump";
   Option.iter (fun index -> ignore (State.gc_dead_oroots st ~live:(Live_index.is_live index))) live;
-  Crash_site.hit "ckpt.gc_done"
+  hit st "ckpt.gc_done"
 
 (* The commit probes ([finish_commit]): counters/gauges for the committed
    version, wear telemetry, then the black-box sample last — it snapshots
    the whole registry and fires the SLO watchdog + adaptive-interval hook. *)
 let emit_commit_probes st (r : Report.t) =
   let store = Kernel.store st.State.kernel in
-  Probe.count "ckpt.runs" 1;
-  Probe.count "ckpt.objects_walked" r.Report.objects_walked;
-  Probe.count "ckpt.objects_skipped" r.Report.objects_skipped;
-  Probe.count "ckpt.full_objects" r.Report.full_objects;
-  Probe.gauge "ckpt.dirty_fraction_pct"
+  let p = probe st in
+  Probe.count p "ckpt.runs" 1;
+  Probe.count p "ckpt.objects_walked" r.Report.objects_walked;
+  Probe.count p "ckpt.objects_skipped" r.Report.objects_skipped;
+  Probe.count p "ckpt.full_objects" r.Report.full_objects;
+  Probe.gauge p "ckpt.dirty_fraction_pct"
     (100 * r.Report.objects_walked / max 1 (r.Report.objects_walked + r.Report.objects_skipped));
-  Probe.count "ckpt.pages.protected" r.Report.pages_protected;
-  Probe.count "ckpt.pages.dirty_copied" r.Report.dram_dirty_copied;
-  Probe.count "ckpt.pages.migrated_in" r.Report.migrated_in;
-  Probe.count "ckpt.pages.migrated_out" r.Report.migrated_out;
-  Probe.gauge "ckpt.cached_pages" r.Report.cached_pages;
-  Probe.gauge "ckpt.version" r.Report.version;
-  Probe.observe "ckpt.stw_ns" r.Report.stw_ns;
-  Probe.observe "ckpt.captree_ns" r.Report.captree_ns;
-  Probe.observe "ckpt.hybrid_ns" r.Report.hybrid_ns;
-  Probe.observe "ckpt.others_ns" r.Report.others_ns;
+  Probe.count p "ckpt.pages.protected" r.Report.pages_protected;
+  Probe.count p "ckpt.pages.dirty_copied" r.Report.dram_dirty_copied;
+  Probe.count p "ckpt.pages.migrated_in" r.Report.migrated_in;
+  Probe.count p "ckpt.pages.migrated_out" r.Report.migrated_out;
+  Probe.gauge p "ckpt.cached_pages" r.Report.cached_pages;
+  Probe.gauge p "ckpt.version" r.Report.version;
+  Probe.observe p "ckpt.stw_ns" r.Report.stw_ns;
+  Probe.observe p "ckpt.captree_ns" r.Report.captree_ns;
+  Probe.observe p "ckpt.hybrid_ns" r.Report.hybrid_ns;
+  Probe.observe p "ckpt.others_ns" r.Report.others_ns;
   (* drain telemetry: the per-window backlog (0 when eager, so the gauge —
      and its tseries column — exists in both modes), the total protection
      flips the window rode on, and the resolved copy/fault counts *)
-  Probe.gauge "ckpt.drain.backlog" r.Report.pages_drained;
-  Probe.gauge "ckpt.pages.protected.last" (r.Report.pages_protected + r.Report.pages_drained);
-  if r.Report.pages_drained > 0 then Probe.count "ckpt.drain.pages" r.Report.pages_drained;
-  if r.Report.cow_faults > 0 then Probe.count "ckpt.drain.cow_faults" r.Report.cow_faults;
-  if r.Report.drain_ns > 0 then Probe.observe "ckpt.drain_ns" r.Report.drain_ns;
+  Probe.gauge p "ckpt.drain.backlog" r.Report.pages_drained;
+  Probe.gauge p "ckpt.pages.protected.last" (r.Report.pages_protected + r.Report.pages_drained);
+  if r.Report.pages_drained > 0 then Probe.count p "ckpt.drain.pages" r.Report.pages_drained;
+  if r.Report.cow_faults > 0 then Probe.count p "ckpt.drain.cow_faults" r.Report.cow_faults;
+  if r.Report.drain_ns > 0 then Probe.observe p "ckpt.drain_ns" r.Report.drain_ns;
   (* wear telemetry: WAF ×100 (integer gauge), per-subsystem cumulative
      bytes, device materialisation watermarks, and — with tracing on — a
      Perfetto counter-track sample of the same per-subsystem series *)
-  Probe.gauge "ckpt.nvm.waf"
+  Probe.gauge p "ckpt.nvm.waf"
     (100 * r.Report.nvm_bytes_written / max 1 r.Report.logical_dirty_bytes);
-  Probe.count "ckpt.nvm.bytes" r.Report.nvm_bytes_written;
-  (match Probe.installed () with
-  | Some p ->
-    List.iter
-      (fun (name, _writes, bytes) -> Probe.gauge ("nvm.bytes_written." ^ name) bytes)
-      (Treesls_obs.Wearmap.subsystems (Probe.wearmap p))
-  | None -> ());
-  Probe.gauge "nvm.pages_touched" (Store.nvm_pages_touched store);
-  Probe.gauge "dram.pages_touched" (Store.dram_pages_touched store);
-  Probe.wear_counter_sample ();
+  Probe.count p "ckpt.nvm.bytes" r.Report.nvm_bytes_written;
+  List.iter
+    (fun (name, _writes, bytes) -> Probe.gauge p ("nvm.bytes_written." ^ name) bytes)
+    (Treesls_obs.Wearmap.subsystems (Probe.wearmap p));
+  Probe.gauge p "nvm.pages_touched" (Store.nvm_pages_touched store);
+  Probe.gauge p "dram.pages_touched" (Store.dram_pages_touched store);
+  Probe.wear_counter_sample p;
   (* black-box sample last, once every post-commit gauge above is in the
      registry: one tseries sample per committed version, then the SLO
      watchdog and the adaptive-interval feedback hook *)
-  Probe.tseries_sample ~version:r.Report.version ~stw_ns:r.Report.stw_ns
+  Probe.tseries_sample p ~version:r.Report.version ~stw_ns:r.Report.stw_ns
     ~interval_ns:st.State.interval_ns
 
 (* Everything downstream of a commit, shared by the eager commit inside
@@ -272,9 +273,9 @@ let emit_commit_probes st (r : Report.t) =
    snapshots, journal, meta) over the application-level dirty delta (dirty
    pages x page size, identical whatever the walk strategy or policy). *)
 let finish_commit st (r : Report.t) ~stw_t0 ~stw_t1 =
-  Probe.ckpt_committed ~version:r.Report.version ~stw_t0 ~stw_t1;
+  Probe.ckpt_committed (probe st) ~version:r.Report.version ~stw_t0 ~stw_t1;
   List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
-  let wear_now = Probe.wear_total_bytes () in
+  let wear_now = Treesls_obs.Wearmap.total_bytes (wearmap st) in
   let nvm_bytes_written = wear_now - st.State.wear_mark in
   st.State.wear_mark <- wear_now;
   let logical_dirty_bytes =
@@ -311,7 +312,7 @@ let drain_copies st (p : Drain.pending) ~limit =
   let drain = st.State.drain in
   let copied = ref 0 in
   let meter = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.drain" (fun () ->
+  Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
           let exhausted = ref false in
           while (not !exhausted) && !copied < limit do
@@ -320,7 +321,7 @@ let drain_copies st (p : Drain.pending) ~limit =
             | Some e ->
               if pay_owed st p e then begin
                 incr copied;
-                Crash_site.hit "ckpt.drain.copied"
+                hit st "ckpt.drain.copied"
               end
           done));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
@@ -333,14 +334,14 @@ let settle_commit st (p : Drain.pending) =
   let store = Kernel.store st.State.kernel in
   let drain = st.State.drain in
   let meter = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.drain" (fun () ->
+  Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
           Drain.apply_settle store drain ~ver:p.Drain.p_ver));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
-  Crash_site.hit "ckpt.drain.settled";
+  hit st "ckpt.drain.settled";
   commit_version st p.Drain.p_live;
   Drain.clear_pending drain;
-  Probe.span_at "ckpt.drain" ~ts_ns:p.Drain.p_stw_t1 ~dur_ns:(now st - p.Drain.p_stw_t1)
+  Probe.span_at (probe st) "ckpt.drain" ~ts_ns:p.Drain.p_stw_t1 ~dur_ns:(now st - p.Drain.p_stw_t1)
     ~args:
       [
         ("version", string_of_int p.Drain.p_ver);
@@ -409,20 +410,20 @@ let bank_fault_backup st pmo pno =
     let key = (pmo.Kobj.pmo_id, pno) in
     let resolved () =
       p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-      Crash_site.hit "ckpt.cow_fault.resolved"
+      hit st "ckpt.cow_fault.resolved"
     in
     match Drain.take st.State.drain key with
     | Some e ->
       (* backlogged DRAM page: pay its owed copy right now — the faulting
          op pays one page and the page reopens for writing *)
-      if Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () -> pay_owed st p e) then
-        resolved ()
+      if Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.cow_fault" (fun () -> pay_owed st p e)
+      then resolved ()
     | None -> (
       (* NVM page protected at the STW: its backup must serve two masters —
          a crash mid-window restores to N-1, a settled window to N. *)
       match page_record st pmo pno with
       | Some (pages, cp, runtime) when Paddr.is_nvm runtime ->
-        Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () ->
+        Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.cow_fault" (fun () ->
             if Ckpt_page.cow_backup store pages ~runtime ~pno ~global:committed then begin
               (* clean at N: the pre-image just banked equals the page's
                  content at both N-1 and N, so settle lifts the stamp to
@@ -461,16 +462,17 @@ let run st =
   let store = Kernel.store kernel in
   let meta = Store.meta store in
   let new_ver = Global_meta.version meta + 1 in
+  let obs = probe st in
   let t0 = now st in
-  let stw_tok = Probe.enter "ckpt.stw" ~args:[ ("version", string_of_int new_ver) ] in
+  let stw_tok = Probe.enter obs "ckpt.stw" ~args:[ ("version", string_of_int new_ver) ] in
   (* step 1: quiesce *)
-  let quiesce_tok = Probe.enter "ckpt.quiesce" in
+  let quiesce_tok = Probe.enter obs "ckpt.quiesce" in
   let ipi_ns = Kernel.quiesce kernel in
-  Probe.exit quiesce_tok;
+  Probe.exit obs quiesce_tok;
   Global_meta.begin_checkpoint meta;
-  Crash_site.hit "ckpt.begin";
+  hit st "ckpt.begin";
   (* step 2: leader walks the capability tree *)
-  let walk_tok = Probe.enter "ckpt.captree" in
+  let walk_tok = Probe.enter obs "ckpt.captree" in
   let walk0 = now st in
   let per_kind = Hashtbl.create 8 in
   (* group name -> (ns, objects, per-kind ns) *)
@@ -515,7 +517,7 @@ let run st =
     if not clean then begin
       let t_obj0 = now st in
       let full, bytes = checkpoint_object st index obj ~new_ver in
-      Crash_site.hit "ckpt.captree.obj";
+      hit st "ckpt.captree.obj";
       let dt = now st - t_obj0 in
       incr objects;
       if full then incr fulls;
@@ -523,7 +525,8 @@ let run st =
       let kind = Kobj.kind obj in
       Hashtbl.replace per_kind kind (dt + Option.value ~default:0 (Hashtbl.find_opt per_kind kind));
       let gname = Live_index.owner index (Kobj.id obj) in
-      Probe.instant_v "ckpt.obj" ~args:[ ("id", string_of_int (Kobj.id obj)); ("group", gname) ];
+      Probe.instant_v obs "ckpt.obj"
+        ~args:[ ("id", string_of_int (Kobj.id obj)); ("group", gname) ];
       let g_ns, g_objs, g_kinds =
         match Hashtbl.find_opt per_group gname with
         | Some g -> g
@@ -539,7 +542,7 @@ let run st =
       Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt)
     end
   in
-  Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
+  Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.captree" (fun () ->
       if incremental && not rebuilt then List.iter visit (Live_index.live_dirty index log)
       else Array.iter visit (Live_index.order index));
   (* cleared only once the walk is through: a walk cut short by a crash
@@ -548,7 +551,7 @@ let run st =
   let skipped = Live_index.size index - !objects in
   st.State.force_full <- false;
   let walk_ns = now st - walk0 in
-  Probe.exit walk_tok
+  Probe.exit obs walk_tok
     ~args:
       [
         ("objects", string_of_int !objects);
@@ -556,7 +559,7 @@ let run st =
         ("skipped", string_of_int skipped);
         ("snapshot_bytes", string_of_int !snap_bytes);
       ];
-  Crash_site.hit "ckpt.captree.done";
+  hit st "ckpt.captree.done";
   (* step 3: parallel hybrid copy by the other cores *)
   let dirty_copied = ref 0 and migrated_in = ref 0 and migrated_out = ref 0 in
   let hybrid_ns =
@@ -567,7 +570,7 @@ let run st =
       Array.iter
         (fun entries ->
           let meter = ref 0 in
-          Treesls_obs.Wearmap.with_writer "ckpt.hybrid" (fun () ->
+          Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.hybrid" (fun () ->
               Store.with_sink store (Store.Meter meter) (fun () ->
                   hybrid_sublist st ~new_ver entries (dirty_copied, migrated_in, migrated_out)));
           if !meter > !worst then worst := !meter)
@@ -582,7 +585,7 @@ let run st =
   (* The hybrid copy ran on the other cores in parallel with the leader's
      walk: record it with explicit timestamps, overlapping ckpt.captree. *)
   if st.State.features.State.hybrid then
-    Probe.span_at "ckpt.hybrid_copy" ~ts_ns:walk0 ~dur_ns:hybrid_ns
+    Probe.span_at obs "ckpt.hybrid_copy" ~ts_ns:walk0 ~dur_ns:hybrid_ns
       ~args:
         [
           ("dirty_copied", string_of_int !dirty_copied);
@@ -590,7 +593,7 @@ let run st =
           ("migrated_out", string_of_int !migrated_out);
         ];
   (* step 4: atomic commit — or, with the drain on, staging *)
-  let others_tok = Probe.enter "ckpt.others" in
+  let others_tok = Probe.enter obs "ckpt.others" in
   let others0 = now st in
   (* The id high-water mark is part of the staged state: it must be in
      place BEFORE the version bump, or a crash right after the bump would
@@ -603,19 +606,19 @@ let run st =
      with it the GC, the extsync callbacks, wear accounting and the
      black-box sample) waits in [settle_commit] until the drain empties —
      a mid-window crash rolls back to the still-committed N-1. *)
-  Crash_site.hit "ckpt.publish";
+  hit st "ckpt.publish";
   let enqueued = Drain.backlog st.State.drain in
   let live = if rebuilt then Some index else None in
   if enqueued = 0 then commit_version st live;
   Store.charge store (Store.cost store).Cost.tlb_shootdown_ns;
   let others_ns = now st - others0 in
-  Probe.exit others_tok;
+  Probe.exit obs others_tok;
   (* step 5: resume *)
-  let resume_tok = Probe.enter "ckpt.resume" in
+  let resume_tok = Probe.enter obs "ckpt.resume" in
   let resume_ns = Kernel.resume_cores kernel in
-  Probe.exit resume_tok;
+  Probe.exit obs resume_tok;
   let stw_ns = now st - t0 in
-  Probe.exit stw_tok ~args:[ ("stw_ns", string_of_int stw_ns) ];
+  Probe.exit obs stw_tok ~args:[ ("stw_ns", string_of_int stw_ns) ];
   let report =
     {
       Report.version = new_ver;
@@ -659,7 +662,7 @@ let run st =
        durability point with everything downstream of it moves to
        [settle_commit].  The partial report carries the STW-side truth;
        wear/WAF and drain fields are finalised at settle. *)
-    Probe.gauge "ckpt.drain.backlog" enqueued;
+    Probe.gauge obs "ckpt.drain.backlog" enqueued;
     Drain.publish st.State.drain
       {
         Drain.p_ver = new_ver;

@@ -72,8 +72,9 @@ let crash t =
   (* The trace ring and metrics registry live in eternal-PMO state: a
      power failure ends open spans (recorded as aborted) and stamps a
      crash marker, but the events recorded so far survive the failure. *)
-  Treesls_obs.Probe.crash_mark ();
-  Treesls_obs.Probe.count "crashes" 1;
+  let probe = Kernel.probe (kernel t) in
+  Treesls_obs.Probe.crash_mark probe;
+  Treesls_obs.Probe.count probe "crashes" 1;
   State.note_crash t.st;
   Kernel.crash (kernel t)
 
@@ -81,7 +82,10 @@ let recover t =
   let report =
     (* journal replay and page normalisation during restore are recovery
        wear, not app wear *)
-    Treesls_obs.Wearmap.with_writer "restore" (fun () -> Restore.run t.st)
+    Treesls_obs.Wearmap.with_writer
+      (Treesls_obs.Probe.wearmap (Kernel.probe (kernel t)))
+      "restore"
+      (fun () -> Restore.run t.st)
   in
   install_hooks t.st;
   (match t.st.State.interval_ns with

@@ -65,7 +65,9 @@ let create kernel active_cfg features =
     last_report = None;
     force_full = true;
     index = None;
-    wear_mark = 0;
+    (* wear baseline: the first commit's bytes are those written since
+       attach, not the kernel boot's allocator formats *)
+    wear_mark = Treesls_obs.Wearmap.total_bytes (Treesls_obs.Probe.wearmap (Kernel.probe kernel));
     drain = Drain.create ();
   }
 

@@ -35,14 +35,13 @@ val boot :
   unit ->
   t
 (** Boot. [interval_us] enables periodic checkpointing (e.g. 1000 for the
-    paper's 1 ms / 1000 Hz configuration).  Boot first uninstalls any
-    ambient probe, so the kernel boot it runs writes into no earlier
-    system's telemetry, then creates and installs this system's
-    observability probe (metrics on, tracing off;
+    paper's 1 ms / 1000 Hz configuration).  The kernel boot creates this
+    system's own observability probe (metrics on, tracing off;
     [trace_capacity] sizes the event ring — see {!enable_tracing};
-    [tseries_capacity] sizes the black-box sample ring).  [adaptive_cfg]
-    configures the adaptive-interval controller, which acts only while
-    [features.adaptive_interval] is set (default off). *)
+    [tseries_capacity] sizes the black-box sample ring), its wearmap and
+    its crash sites; nothing is shared with any other booted system.
+    [adaptive_cfg] configures the adaptive-interval controller, which acts
+    only while [features.adaptive_interval] is set (default off). *)
 
 val kernel : t -> Kernel.t
 (** The current runtime kernel ({b re-fetch after every recover}). *)
@@ -101,6 +100,9 @@ val stats : t -> Kernel.stats
     including the ["crash"] marker and the ["restore"] span themselves. *)
 
 val obs : t -> Treesls_obs.Probe.t
+(** This system's probe: every layer of this system, and only this
+    system, records into it. *)
+
 val trace : t -> Treesls_obs.Trace.t
 
 (** {2 State audit (slsfsck)}
@@ -129,9 +131,8 @@ val enable_tracing : ?verbose:bool -> ?eternal_backing:bool -> t -> unit
 val disable_tracing : t -> unit
 
 val wearmap : t -> Treesls_obs.Wearmap.t
-(** NVM write/wear telemetry collected by this system's probe — always on
-    while the probe is installed; counters are monotone across
-    crash/restore. *)
+(** NVM write/wear telemetry of this system's NVM device — always on;
+    counters are monotone across crash/restore. *)
 
 val ensure_wear_backing : t -> unit
 (** Reserve an eternal PMO sized for the wearmap's per-page counters

@@ -247,15 +247,20 @@ let known_wear_subsystems =
   ]
 
 (* Post-recovery wearmap invariants: physical-write counters are monotone
-   across crash/restore (nothing ever rolls them back), and every byte is
-   attributed to a subsystem that can actually run. *)
-let wear_check sys ~bytes_before =
+   across crash/restore (nothing ever rolls them back), the post-recovery
+   liveness work (two page writes and a checkpoint, which always journals)
+   landed in this system's own wearmap ([live_from] is its total just
+   before that work), and every byte is attributed to a subsystem that can
+   actually run. *)
+let wear_check sys ~bytes_before ~live_from =
   let wm = System.wearmap sys in
   let total = Treesls_obs.Wearmap.total_bytes wm in
   if total < bytes_before then
     Some
       (Printf.sprintf "total bytes shrank across crash/restore (%d -> %d)" bytes_before
          total)
+  else if total <= live_from then
+    Some (Printf.sprintf "post-recovery work wrote no NVM bytes (total stuck at %d)" total)
   else
     List.fold_left
       (fun acc (name, _writes, bytes) ->
@@ -287,9 +292,6 @@ let tseries_mark sys =
    survived. *)
 let tseries_check sys ~mark =
   let total_before, last_before = mark in
-  (* the twin boot made its probe ambient (last boot wins): reinstall the
-     victim's so the fresh sample lands in the ring under test *)
-  Probe.install (System.obs sys);
   ignore (System.checkpoint sys);
   (* async mode: the sample lands at settle, not at the STW *)
   System.drain_settle sys;
@@ -471,13 +473,13 @@ type plan = {
 (* One instrumented run of the trace: record the commit-point window and
    how often each named crash site fires.  Nothing is injected. *)
 let enumerate cfg =
-  Crash_site.reset ();
   let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
   let sys = boot_sys cfg in
   ignore (System.checkpoint sys);
   let w = Store.warea (System.store sys) in
+  let sites = Store.crash_sites (System.store sys) in
   let first_point = Warea.commit_points w in
-  Crash_site.record ();
+  Crash_site.record sites;
   replay sys ops ~on_op:(fun _ -> ());
   (* one final checkpoint so the tail of the trace is also covered by
      checkpoint crash sites; settle its drain window so the drain/settle
@@ -485,8 +487,7 @@ let enumerate cfg =
   ignore (System.checkpoint sys);
   System.drain_settle sys;
   let last_point = Warea.commit_points w in
-  let site_hits = Crash_site.counts () in
-  Crash_site.reset ();
+  let site_hits = Crash_site.counts sites in
   { p_ops = ops; first_point; last_point; site_hits }
 
 let schedules_of_plan cfg plan =
@@ -530,7 +531,6 @@ let twin_fingerprint cache cfg g =
   match Hashtbl.find_opt cache g with
   | Some fp -> fp
   | None ->
-    Crash_site.reset ();
     let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
     let sys = boot_sys cfg in
     (try
@@ -576,15 +576,15 @@ let liveness_check sys =
    restore.* timer histograms (live references: the victim system is
    dropped right after, so handing them out is safe). *)
 let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
-  Crash_site.reset ();
   let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
   let sys = boot_sys cfg in
   ignore (System.checkpoint sys);
   let w = Store.warea (System.store sys) in
+  let sites = Store.crash_sites (System.store sys) in
   if cfg.recovery_bug then Warea.set_recovery_bug w true;
   (match point with
   | Commit (p, ph) -> Warea.set_crash_schedule w (Some (p, ph))
-  | Site (s, n) -> Crash_site.arm ~site:s ~nth:n
+  | Site (s, n) -> Crash_site.arm sites ~site:s ~nth:n
   | Restore_site _ | Op_crash _ -> ());
   let fired = ref false in
   let stop_at = match point with Restore_site (_, k) | Op_crash k -> Some k | _ -> None in
@@ -600,7 +600,7 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
   | Stop -> fired := true);
   (* Disarm leftovers: recovery must not re-fire a stale plan. *)
   Warea.set_crash_schedule w None;
-  Crash_site.reset ();
+  Crash_site.reset sites;
   let wear_bytes_before = Treesls_obs.Wearmap.total_bytes (System.wearmap sys) in
   let tseries_before = tseries_mark sys in
   let outcome =
@@ -608,19 +608,19 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
     else begin
       System.crash sys;
       (* crash-during-recovery schedules arm their site only now *)
-      (match point with Restore_site (s, _) -> Crash_site.arm ~site:s ~nth:1 | _ -> ());
+      (match point with Restore_site (s, _) -> Crash_site.arm sites ~site:s ~nth:1 | _ -> ());
       let recovered =
         match System.recover sys with
         | _ -> Ok ()
         | exception Warea.Crashed _ when (match point with Restore_site _ -> true | _ -> false) ->
           (* the second power cut, mid-recovery: clean up and just retry *)
-          Crash_site.reset ();
+          Crash_site.reset sites;
           (match System.recover sys with
           | _ -> Ok ()
           | exception e -> Error ("retry: " ^ Printexc.to_string e))
         | exception e -> Error (Printexc.to_string e)
       in
-      Crash_site.reset ();
+      Crash_site.reset sites;
       match recovered with
       | Error e -> Recovery_failed e
       | Ok () -> (
@@ -632,10 +632,11 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
           let fp = fingerprint sys in
           if fp <> twin_fingerprint twins cfg g then Fingerprint_mismatch g
           else
+            let live_from = Treesls_obs.Wearmap.total_bytes (System.wearmap sys) in
             match liveness_check sys with
             | Some e -> Liveness_failed e
             | None -> (
-              match wear_check sys ~bytes_before:wear_bytes_before with
+              match wear_check sys ~bytes_before:wear_bytes_before ~live_from with
               | Some e -> Wear_failed e
               | None -> (
                 match tseries_check sys ~mark:tseries_before with
@@ -647,9 +648,7 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
     end
   in
   Warea.set_recovery_bug w false;
-  (* read RTO telemetry through the victim's own probe handle: the twin's
-     probe may be the ambient one by now (last boot wins) *)
-  let recovery = Rto.last (Probe.rto (System.obs sys)) in
+  let recovery = System.last_recovery sys in
   let m = Probe.metrics (System.obs sys) in
   let rto_timers =
     List.filter_map
@@ -693,12 +692,6 @@ let run ?(progress = fun _ _ -> ()) cfg =
             in
             Histogram.merge ~into:acc h)
           rto_timers;
-        Probe.count "crashtest.schedules" 1;
-        if not (outcome_is_pass r.outcome) then begin
-          Probe.count "crashtest.failed" 1;
-          Probe.instant "crashtest.fail"
-            ~args:[ ("repro", reproducer cfg point); ("outcome", outcome_to_string r.outcome) ]
-        end;
         r)
       schedules
   in

@@ -80,8 +80,9 @@ type outcome =
   | Liveness_failed of string
   | Wear_failed of string
       (** a wearmap invariant broke across crash/restore: physical-write
-          counters shrank, or bytes were attributed outside the known
-          writer-context vocabulary (e.g. [unattributed]) *)
+          counters shrank, the post-recovery liveness work added no bytes
+          to the victim's own wearmap, or bytes were attributed outside
+          the known writer-context vocabulary (e.g. [unattributed]) *)
   | Tseries_failed of string
       (** a black-box invariant broke across crash/restore: a sample was
           torn, duplicated, reordered or lost (seqs must stay

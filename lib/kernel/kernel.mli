@@ -42,14 +42,23 @@ val boot :
   ?ncores:int ->
   ?nvm_pages:int ->
   ?dram_pages:int ->
+  ?trace_capacity:int ->
+  ?tseries_capacity:int ->
   unit ->
   t
 (** Boot a system with the standard user-space services (process manager,
     file system, network driver, tmpfs, shell), reproducing the object
-    census of the paper's Default workload (Table 2 row A). *)
+    census of the paper's Default workload (Table 2 row A).  Boot first
+    creates the system's clock and its observability probe ([trace_capacity]
+    and [tseries_capacity] size the probe's rings), so the boot's own
+    allocator and journal work is recorded in this system's telemetry. *)
 
 val store : t -> Store.t
 val clock : t -> Treesls_sim.Clock.t
+
+val probe : t -> Treesls_obs.Probe.t
+(** The system's probe (held by its store; survives restore). *)
+
 val cost : t -> Treesls_sim.Cost.t
 val root : t -> Kobj.cap_group
 val ids : t -> Treesls_cap.Id_gen.t

@@ -12,7 +12,9 @@ type status =
   | Idle  (** no checkpoint in flight *)
   | In_progress  (** STW checkpoint running; not yet committed *)
 
-val create : unit -> t
+val create : wearmap:Treesls_obs.Wearmap.t -> t
+(** Every single-word update is recorded into [wearmap] as [nvm.meta]
+    bytes. *)
 
 val version : t -> int
 (** Version of the last committed checkpoint; 0 = none yet. *)

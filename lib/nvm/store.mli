@@ -7,8 +7,13 @@
     through the capability-tree checkpoint.
 
     All operations charge simulated time to a pluggable sink, by default
-    the global clock; the checkpoint code redirects charges to per-core
-    meters while modelling work done in parallel with the leader. *)
+    the system clock; the checkpoint code redirects charges to per-core
+    meters while modelling work done in parallel with the leader.
+
+    The store also holds its system's observability probe (the NVM
+    device records wear into the probe's wearmap, the journal counts its
+    transactions on it) and its named crash sites, so every layer built
+    on the store reaches both through it. *)
 
 type t
 
@@ -17,16 +22,24 @@ type sink = Clock_sink | Meter of int ref | Off
 val create :
   ?cost:Treesls_sim.Cost.t ->
   ?ssd_pages:int ->
-  clock:Treesls_sim.Clock.t ->
+  probe:Treesls_obs.Probe.t ->
   nvm_pages:int ->
   dram_pages:int ->
   unit ->
   t
 (** [nvm_pages] must be a power of two. [ssd_pages] sizes the swap device
-    used by memory over-commitment (default 4096). *)
+    used by memory over-commitment (default 4096).  Time is charged to the
+    probe's clock. *)
 
 val cost : t -> Treesls_sim.Cost.t
 val clock : t -> Treesls_sim.Clock.t
+
+val probe : t -> Treesls_obs.Probe.t
+(** The owning system's probe. *)
+
+val crash_sites : t -> Crash_site.t
+(** The owning system's named crash sites. *)
+
 val meta : t -> Global_meta.t
 val buddy : t -> Buddy.t
 val slab : t -> Slab.t

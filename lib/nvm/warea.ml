@@ -23,6 +23,7 @@ let all_phases = [ Before_log; After_log; Mid_apply; After_apply ]
 type record = { writes : (int * int) array; complete : bool }
 
 type t = {
+  probe : Treesls_obs.Probe.t;
   words : int array;
   mutable log : record option;
   mutable crash_plan : crash_phase option;
@@ -34,9 +35,10 @@ type t = {
   mutable recovery_bug : bool;
 }
 
-let create ~words =
+let create ~probe ~words =
   assert (words > 0);
   {
+    probe;
     words = Array.make words 0;
     log = None;
     crash_plan = None;
@@ -103,13 +105,14 @@ let commit t ~desc writes =
   t.log <- None;
   t.commits <- t.commits + 1;
   t.words_written <- t.words_written + Array.length arr;
-  Treesls_obs.Probe.count "nvm.txn.commits" 1;
-  Treesls_obs.Probe.count "nvm.txn.words" (Array.length arr);
+  Treesls_obs.Probe.count t.probe "nvm.txn.commits" 1;
+  Treesls_obs.Probe.count t.probe "nvm.txn.words" (Array.length arr);
   (* journal write model: each committed word costs an 8-byte log record
      plus its 8-byte in-place apply — 16 physical NVM bytes per word, so
      journal wear reconciles exactly with the nvm.txn.words counter *)
-  Treesls_obs.Probe.wear_note ~subsystem:"nvm.journal" ~bytes:(16 * Array.length arr);
-  Treesls_obs.Probe.instant_v "nvm.txn"
+  Treesls_obs.Wearmap.note (Treesls_obs.Probe.wearmap t.probe) ~subsystem:"nvm.journal"
+    ~bytes:(16 * Array.length arr);
+  Treesls_obs.Probe.instant_v t.probe "nvm.txn"
     ~args:[ ("desc", desc); ("words", string_of_int (Array.length arr)) ]
 
 let consume_point t ~desc =
@@ -147,7 +150,7 @@ let recover t =
       (* redo replay re-applies each word in place: 8 physical bytes/word,
          attributed separately so normal-run journal wear still reconciles
          with the nvm.txn.words counter *)
-      Treesls_obs.Probe.wear_note ~subsystem:"restore.journal"
+      Treesls_obs.Wearmap.note (Treesls_obs.Probe.wearmap t.probe) ~subsystem:"restore.journal"
         ~bytes:(8 * Array.length record.writes)
     end;
     t.log <- None

@@ -43,7 +43,10 @@ val phase_of_string : string -> crash_phase option
 val all_phases : crash_phase list
 (** The four phases in log order. *)
 
-val create : words:int -> t
+val create : probe:Treesls_obs.Probe.t -> words:int -> t
+(** Committed transactions and replayed records are counted, traced and
+    charged as journal wear on [probe]. *)
+
 val size : t -> int
 
 val read : t -> int -> int

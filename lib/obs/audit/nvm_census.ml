@@ -186,23 +186,14 @@ let rows t =
     ("unaccounted pages", unaccounted_pages t, unaccounted_pages t * t.page_size);
   ]
 
-let pp_rows ~signed ppf t =
-  let c n = if signed then Printf.sprintf "%+d" n else string_of_int n in
-  List.iter
-    (fun (label, count, bytes) ->
-      Format.fprintf ppf "  %-28s %10s %14s B@\n" label (c count) (c bytes))
-    (rows t);
-  Format.fprintf ppf "  %-28s %10s %14s@\n" "slab objects" (c t.slab_objects) "-";
-  Format.fprintf ppf "  %-28s %10s %14s@\n" "sealed backup pages" (c t.sealed_pages) "-"
-
 let pp ppf t =
   Format.fprintf ppf "NVM census @@v%d: %d pages x %d B (%d free, %d accounted)@\n"
     t.version t.total_pages t.page_size t.free_pages (accounted_pages t);
-  pp_rows ~signed:false ppf t
-
-let pp_delta ppf t =
-  Format.fprintf ppf "NVM census delta @@v%d (signed, vs baseline):@\n" t.version;
-  pp_rows ~signed:true ppf t
+  List.iter
+    (fun (label, count, bytes) -> Format.fprintf ppf "  %-28s %10d %14d B@\n" label count bytes)
+    (rows t);
+  Format.fprintf ppf "  %-28s %10d %14s@\n" "slab objects" t.slab_objects "-";
+  Format.fprintf ppf "  %-28s %10d %14s@\n" "sealed backup pages" t.sealed_pages "-"
 
 let to_json t =
   Printf.sprintf

@@ -62,7 +62,5 @@ val rows : t -> (string * int * int) list
     rendering. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_delta : Format.formatter -> t -> unit
-(** Like {!pp} but with explicitly signed counts — for printing a {!diff}. *)
 
 val to_json : t -> string

@@ -40,7 +40,6 @@ let histogram t name = Hashtbl.find_opt t.timers name
 
 let timer_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.timers [] |> List.sort String.compare
-let gauge_value t name = match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0
 
 type timer_summary = {
   tm_count : int;

@@ -18,7 +18,6 @@ val observe : t -> string -> int -> unit
     timer. *)
 
 val counter_value : t -> string -> int
-val gauge_value : t -> string -> int
 (** 0 when the name was never touched. *)
 
 val histogram : t -> string -> Treesls_util.Histogram.t option

@@ -69,7 +69,6 @@ type t = {
 let create () = { cur = None; last = None; restores = 0; crash_ns = -1; awaiting_req = false }
 let last t = t.last
 let count t = t.restores
-let in_restore t = t.cur <> None
 
 let note_crash t ~now =
   t.crash_ns <- now;

@@ -54,8 +54,6 @@ val last : t -> record option
 val count : t -> int
 (** Successful recoveries sealed so far. *)
 
-val in_restore : t -> bool
-
 (** {2 Lifecycle} — driven by [Probe]'s [rto_*] wrappers. *)
 
 val note_crash : t -> now:int -> unit

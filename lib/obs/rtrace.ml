@@ -27,7 +27,7 @@ type t = {
   mutable done_total : int; (* completed requests ever; write index = total mod cap *)
   live : (int, req) Hashtbl.t;
   mutable next_id : int;
-  mutable current : int; (* 0 = no ambient request *)
+  mutable current : int; (* 0 = no current request *)
   enq2vis : Histogram.t;
   e2e : Histogram.t;
   (* Per-origin latency breakdown: origin -> (enq2vis, e2e).  Fed on

@@ -1,11 +1,11 @@
 (** Request-causality tracking for externally-driven operations.
 
     Every external request (e.g. a KV op arriving at a server app) gets a
-    request id at {!arrive}; the id is carried implicitly while the
-    single-threaded simulation handles it (the "ambient current" request),
-    stamped when its reply is enqueued on an extsync ring, and resolved
-    when a checkpoint commit advances [visible_writer] past the reply —
-    recording {e which} commit version released it.  The timeline
+    request id at {!arrive}; the id stays this tracker's current request
+    while the system handles it, is stamped when its reply is enqueued on
+    an extsync ring, and is resolved when a checkpoint commit advances
+    [visible_writer] past the reply — recording {e which} commit version
+    released it.  The timeline
     arrive → handled → enqueued → visible is what external synchrony
     trades for persistence; this module measures the trade.
 
@@ -46,7 +46,7 @@ val arrive : t -> now:int -> origin:string -> int
     that never enqueued output is finalized as [Internal]. *)
 
 val current_id : t -> int
-(** Id of the ambient current request; 0 when none. *)
+(** Id of the current request; 0 when none. *)
 
 val find_live : t -> int -> req option
 val handled : t -> now:int -> unit

@@ -24,7 +24,9 @@ module Rng = Treesls_util.Rng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let mk_store () = Store.create ~clock:(Clock.create ()) ~nvm_pages:256 ~dram_pages:32 ()
+let mk_store () =
+  Store.create ~probe:(Treesls_obs.Probe.create ~clock:(Clock.create ()) ()) ~nvm_pages:256
+    ~dram_pages:32 ()
 
 (* ---- Snapshot ---- *)
 

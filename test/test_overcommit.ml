@@ -8,6 +8,11 @@ module Radix = Treesls_cap.Radix
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
 module Clock = Treesls_sim.Clock
+module Probe = Treesls_obs.Probe
+
+let mk_store ?clock ~ssd_pages () =
+  let clock = match clock with Some c -> c | None -> Clock.create () in
+  Store.create ~probe:(Probe.create ~clock ()) ~nvm_pages:64 ~dram_pages:8 ~ssd_pages ()
 module Overcommit = Treesls_ckpt.Overcommit
 
 let check_int = Alcotest.(check int)
@@ -16,7 +21,7 @@ let check_bool = Alcotest.(check bool)
 (* ---- Store-level swap ---- *)
 
 let store_swap_roundtrip () =
-  let store = Store.create ~clock:(Clock.create ()) ~nvm_pages:64 ~dram_pages:8 ~ssd_pages:16 () in
+  let store = mk_store ~ssd_pages:16 () in
   let p = Store.alloc_page store in
   Store.write_page store p ~off:0 (Bytes.of_string "swapme");
   let free0 = Store.nvm_pages_free store in
@@ -32,7 +37,7 @@ let store_swap_roundtrip () =
 
 let store_swap_charges_time () =
   let clock = Clock.create () in
-  let store = Store.create ~clock ~nvm_pages:64 ~dram_pages:8 ~ssd_pages:16 () in
+  let store = mk_store ~clock ~ssd_pages:16 () in
   let p = Store.alloc_page store in
   let t0 = Clock.now clock in
   let slot = Option.get (Store.swap_out store ~src:p) in
@@ -42,14 +47,14 @@ let store_swap_charges_time () =
   check_bool "swap-in is expensive too" true (Clock.now clock - t1 > 5_000)
 
 let store_ssd_exhaustion () =
-  let store = Store.create ~clock:(Clock.create ()) ~nvm_pages:64 ~dram_pages:8 ~ssd_pages:2 () in
+  let store = mk_store ~ssd_pages:2 () in
   let p1 = Store.alloc_page store and p2 = Store.alloc_page store and p3 = Store.alloc_page store in
   check_bool "1" true (Store.swap_out store ~src:p1 <> None);
   check_bool "2" true (Store.swap_out store ~src:p2 <> None);
   check_bool "full" true (Store.swap_out store ~src:p3 = None)
 
 let store_ssd_survives_crash () =
-  let store = Store.create ~clock:(Clock.create ()) ~nvm_pages:64 ~dram_pages:8 ~ssd_pages:16 () in
+  let store = mk_store ~ssd_pages:16 () in
   let p = Store.alloc_page store in
   Store.write_page store p ~off:0 (Bytes.of_string "durable");
   let slot = Option.get (Store.swap_out store ~src:p) in

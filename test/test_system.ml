@@ -284,8 +284,7 @@ let prop_repeated_crashes =
 (* ---- two systems in one process ---- *)
 
 (* Booting B must not write into A's telemetry: B's kernel boot journals
-   its allocator formats before B installs its own probe, and A's probe is
-   the one still ambient at that point. *)
+   its allocator formats into B's own probe. *)
 let second_boot_leaves_first_telemetry () =
   let a = System.boot () in
   let app = Kv_app.launch ~keys_hint:100 a Kv_app.Memcached in
@@ -304,6 +303,76 @@ let second_boot_leaves_first_telemetry () =
   check_int "A wearmap bytes unchanged" bytes0 bytes1;
   check_int "A nvm.txn.words unchanged" words0 words1;
   check_int "A nvm.txn.commits unchanged" commits0 commits1
+
+(* A scripted session on one system: tracing on, a KV app, then rounds of
+   [sets] SETs followed by a checkpoint.  Two sessions with different
+   [sets] leave visibly different telemetry. *)
+type session = { sys : System.t; app : Kv_app.t; sets : int; mutable commits : int list }
+
+let session_boot ~sets =
+  let sys = System.boot () in
+  { sys; app = Kv_app.launch ~keys_hint:200 sys Kv_app.Memcached; sets; commits = [] }
+
+let session_round s round =
+  for i = 1 to s.sets do
+    Kv_app.set_i s.app ((round * s.sets) + i)
+  done;
+  let r = System.checkpoint s.sys in
+  s.commits <- r.Treesls_ckpt.Report.nvm_bytes_written :: s.commits
+
+(* Everything one system's telemetry says about its own run. *)
+let session_telemetry s =
+  ( (System.metrics_snapshot s.sys).Metrics.counters,
+    Treesls_obs.Wearmap.subsystems (System.wearmap s.sys),
+    List.map (fun e -> e.Treesls_obs.Trace.name) (Treesls_obs.Trace.events (System.trace s.sys)),
+    Treesls_obs.Tseries.total (System.tseries s.sys),
+    List.rev s.commits )
+
+let rounds = 4
+
+let solo ~sets =
+  let s = session_boot ~sets in
+  System.enable_tracing s.sys;
+  for round = 0 to rounds - 1 do
+    session_round s round
+  done;
+  session_telemetry s
+
+(* Interleave two systems' KV ops and checkpoints: each one's counters,
+   wear, trace, black box and per-commit NVM bytes must equal those of the
+   same script run alone. *)
+let interleaved_telemetry_is_own () =
+  let a = session_boot ~sets:49 in
+  let b = session_boot ~sets:20 in
+  System.enable_tracing a.sys;
+  System.enable_tracing b.sys;
+  for round = 0 to rounds - 1 do
+    session_round a round;
+    session_round b round
+  done;
+  List.iter
+    (fun (name, s, sets) ->
+      let counters, wear, events, samples, commits = session_telemetry s in
+      let counters0, wear0, events0, samples0, commits0 = solo ~sets in
+      let check_list what eq got want =
+        check_bool (Printf.sprintf "%s %s as alone" name what) true (eq got want)
+      in
+      check_list "counters" ( = ) counters counters0;
+      check_list "wear subsystems" ( = ) wear wear0;
+      check_list "trace event names" ( = ) events events0;
+      check_int (name ^ " tseries total as alone") samples0 samples;
+      check_list "per-commit nvm bytes" ( = ) commits commits0;
+      List.iter (fun n -> check_bool (name ^ " commit nvm bytes >= 0") true (n >= 0)) commits)
+    [ ("A", a, 49); ("B", b, 20) ]
+
+(* A crash site armed on A fires in A's pipeline only. *)
+let armed_site_fires_only_in_its_system () =
+  let a = System.boot () and b = System.boot () in
+  Treesls_nvm.Crash_site.arm (Store.crash_sites (System.store a)) ~site:"ckpt.begin" ~nth:1;
+  check_int "B checkpoints through A's armed site" 1
+    (System.checkpoint b).Treesls_ckpt.Report.version;
+  check_bool "A crashes at its armed site" true
+    (match System.checkpoint a with _ -> false | exception Warea.Crashed _ -> true)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_crash_equals_committed_model; prop_repeated_crashes ]
@@ -331,6 +400,9 @@ let () =
         [
           Alcotest.test_case "second boot leaves first telemetry" `Quick
             second_boot_leaves_first_telemetry;
+          Alcotest.test_case "interleaved telemetry is own" `Quick interleaved_telemetry_is_own;
+          Alcotest.test_case "armed site fires only in its system" `Quick
+            armed_site_fires_only_in_its_system;
         ] );
       ("properties", qsuite);
     ]
