@@ -63,6 +63,13 @@ globals:
 		echo "globals: top-level mutable state in lib/ (above); give it an owner"; exit 1; \
 	else echo "globals: ok"; fi
 
+# One-second run of each perfbench workload (about 25 s in all).  Only its
+# correctness checks gate here (read-your-writes, the post-crash key check,
+# the audit, simulated repeatability; the script exits nonzero when one
+# fails); its timings are too short to compare.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 7 --seconds 1 --trace 0 > /dev/null
+
 ci:
 	dune build @all
 	$(MAKE) globals
@@ -70,6 +77,7 @@ ci:
 	$(MAKE) cli
 	$(MAKE) fmt
 	dune exec bench/main.exe -- --exp smoke --audit
+	$(MAKE) perfbench-smoke
 	$(MAKE) bench-diff
 	cp $(BENCH_FRESH)/BENCH_*.json .
 
@@ -81,4 +89,4 @@ bench:
 bench-audit:
 	dune exec bench/main.exe -- --audit
 
-.PHONY: all test fmt cli globals ci bench bench-fresh bench-diff bench-audit
+.PHONY: all test fmt cli globals perfbench-smoke ci bench bench-fresh bench-diff bench-audit

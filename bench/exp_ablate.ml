@@ -110,7 +110,7 @@ let ablate_pagetables () =
         let k = System.kernel sys in
         let mapped =
           List.fold_left
-            (fun acc p -> acc + Pagetable.mapped_count (Kernel.pagetable k p.Kernel.vms))
+            (fun acc p -> acc + Pagetable.mapped_count p.Kernel.pt)
             0 (Kernel.processes k)
         in
         let reports = collect_reports sys ~n:2_000 app.step in

@@ -7,16 +7,11 @@
     long back to NVM.  The list itself is volatile (DRAM): it is dropped on
     crash and repopulates from scratch after a restore. *)
 
-module Kobj = Treesls_cap.Kobj
+module Pagetable = Treesls_kernel.Pagetable
 
-type entry = {
-  e_pmo : Kobj.pmo;
-  e_pno : int;
-  mutable e_hotness : int;
-  mutable e_idle : int;  (** consecutive checkpoints without modification *)
-  mutable e_dram : bool;  (** currently migrated to DRAM *)
-  mutable e_live : bool;
-}
+type entry = Pagetable.page
+(** The list links page descriptors; it owns their [hotness], [idle],
+    [dram] and [active] fields. *)
 
 type config = {
   hot_threshold : int;  (** faults before a page is appended (default 2) *)
@@ -31,7 +26,7 @@ type t
 val create : config -> t
 val config : t -> config
 
-val record_fault : t -> Kobj.pmo -> int -> unit
+val record_fault : t -> entry -> unit
 (** Bump hotness; append to the list once the threshold is crossed (and
     the cache cap is not exceeded). *)
 
@@ -48,9 +43,8 @@ val drop : t -> entry -> unit
 (** Demotion: remove from the list and clear hotness. *)
 
 val forget : t -> (int -> bool) -> unit
-(** Drop the entries and hotness counts of every PMO whose id the
-    predicate accepts (the PMO left the tree; its ORoot is being
-    collected). *)
+(** Drop the entries of every PMO whose id the predicate accepts (the PMO
+    left the tree; its ORoot is being collected). *)
 
 val compact : t -> unit
 (** Remove dead entries from the backing list (called once per checkpoint). *)

@@ -20,8 +20,6 @@ let hit st site = Crash_site.hit (Store.crash_sites (Kernel.store st.State.kerne
 let archive_page st pmo pno paddr =
   match st.State.page_archive_hook with Some h -> h pmo pno paddr | None -> ()
 
-let resolve_region = Live_index.resolve_region
-
 (* Charge the cost of copying one object's own state into its backup. A
    full (first-time) checkpoint additionally pays allocation and structure
    construction, which is what separates the Full and Incr columns of
@@ -36,7 +34,7 @@ let charge_object_copy st obj ~full =
 
 (* Checkpoint one object (step 2). Returns true if it was a full (first)
    checkpoint. *)
-let checkpoint_object st index obj ~new_ver =
+let checkpoint_object st obj ~new_ver =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let c = Store.cost store in
@@ -73,22 +71,21 @@ let checkpoint_object st index obj ~new_ver =
        read-only again. DRAM-cached pages stay writable — they are covered
        by stop-and-copy, and leaving them writable is precisely how hybrid
        copy eliminates their faults. *)
-    let pt = Kernel.pagetable kernel vms in
-    let protected_n =
-      Pagetable.protect_dirty pt (fun vpn pte ->
-          (match Live_index.resolve index vms vpn with
-          | Some (pmo, pno) -> archive_page st pmo pno pte.Pagetable.paddr
-          | None -> ());
-          if Paddr.is_dram pte.Pagetable.paddr then false
-          else begin
-            Store.charge store c.Cost.mark_ro_ns;
-            (* clear the hardware dirty bit along with re-protection: the
-               page is now exactly as cold as its checkpoint *)
-            pte.Pagetable.dirty <- false;
-            true
-          end)
-    in
-    ignore protected_n
+    Option.iter
+      (fun pt ->
+        ignore
+          (Pagetable.protect_dirty pt (fun pte ->
+               let pg = pte.Pagetable.page in
+               archive_page st pg.Pagetable.pmo pg.Pagetable.pno pte.Pagetable.paddr;
+               if Paddr.is_dram pte.Pagetable.paddr then false
+               else begin
+                 Store.charge store c.Cost.mark_ro_ns;
+                 (* clear the hardware dirty bit along with re-protection:
+                    the page is now exactly as cold as its checkpoint *)
+                 Pagetable.clean pte;
+                 true
+               end)))
+      (Kernel.pagetable kernel vms)
   | Kobj.Vmspace _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Pmo _ | Kobj.Ipc_conn _
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
   (full, Snapshot.bytes snap)
@@ -107,15 +104,15 @@ let hybrid_sublist st ~new_ver entries counters =
   let store = Kernel.store kernel in
   let dirty_copied, migrated_in, migrated_out = counters in
   List.iter
-    (fun (e : Active_list.entry) ->
-      let pmo = e.Active_list.e_pmo and pno = e.Active_list.e_pno in
+    (fun (pg : Active_list.entry) ->
+      let pmo = pg.Pagetable.pmo and pno = pg.Pagetable.pno in
       (* every live PMO has its ORoot by now (the walk ran first); a PMO
          without one left the tree and its ORoot was collected *)
       let oroot = Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id in
       match (Radix.get pmo.Kobj.pmo_radix pno, oroot) with
-      | None, _ | _, None -> Active_list.drop st.State.active e
+      | None, _ | _, None -> Active_list.drop st.State.active pg
       | Some runtime, Some oroot ->
-        if not e.Active_list.e_dram then begin
+        if not pg.Pagetable.dram then begin
           (* newly appended: NVM -> DRAM migration (swapped-out pages wait
              until a fault brings them back to NVM) *)
           if not (Paddr.is_nvm runtime) then ()
@@ -126,7 +123,7 @@ let hybrid_sublist st ~new_ver entries counters =
             let pages = Oroot.pages_exn oroot in
             ignore (Ckpt_page.ensure store pages ~pno ~born_ver:new_ver);
             Store.copy_page store ~src:runtime ~dst:dram;
-            Kernel.remap_page kernel pmo ~pno dram;
+            Pagetable.remap_page pg dram;
             (* The old NVM runtime page becomes the latest backup. *)
             (match Ckpt_page.find pages pno with
             | Some cp when cp.Ckpt_page.b2 = None ->
@@ -145,60 +142,53 @@ let hybrid_sublist st ~new_ver entries counters =
               (* unexpected CPP state: undo the migration and retire the
                  entry — leaving it live would retry (and fail) the same
                  migration on every checkpoint *)
-              Kernel.remap_page kernel pmo ~pno runtime;
+              Pagetable.remap_page pg runtime;
               Store.free_dram_page store dram;
-              Active_list.drop st.State.active e);
+              Active_list.drop st.State.active pg);
             (match Radix.get pmo.Kobj.pmo_radix pno with
             | Some p when Paddr.is_dram p ->
-              e.Active_list.e_dram <- true;
-              e.Active_list.e_idle <- 0;
-              Kernel.clear_page_dirty kernel pmo ~pno;
+              pg.Pagetable.dram <- true;
+              pg.Pagetable.idle <- 0;
+              Pagetable.clear_page_dirty pg;
               incr migrated_in;
               hit st "ckpt.hybrid.migrated_in"
             | Some _ | None -> ())
         end
         else begin
           let pages = Oroot.pages_exn oroot in
-          if Kernel.page_dirty kernel pmo ~pno then begin
+          if Pagetable.page_dirty pg then begin
+            archive_page st pmo pno runtime;
+            Pagetable.clear_page_dirty pg;
+            pg.Pagetable.idle <- 0;
             if async_on st then begin
               (* async drain: capture the page logically now — protect it
                  and flip the dirty bookkeeping as the eager copy would —
                  but owe the copy itself to the backlog.  A write landing
                  before the drain reaches it faults into [cow_fault] and
                  pays exactly one page. *)
-              archive_page st pmo pno runtime;
-              List.iter
-                (fun (pt, vpn) -> Pagetable.protect pt ~vpn)
-                (Kernel.mappings_of_page kernel pmo ~pno);
+              List.iter Pagetable.protect pg.Pagetable.maps;
               Store.charge store (Store.cost store).Cost.mark_ro_ns;
-              Kernel.clear_page_dirty kernel pmo ~pno;
-              e.Active_list.e_idle <- 0;
-              Drain.enqueue st.State.drain { Drain.d_pmo = pmo; d_cps = pages; d_pno = pno }
+              Drain.enqueue st.State.drain pg
             end
             else begin
               (* dirty DRAM page: stop-and-copy into the stale backup *)
-              archive_page st pmo pno runtime;
               Ckpt_page.stop_and_copy_dram store pages ~runtime ~pno ~new_ver;
-              Kernel.clear_page_dirty kernel pmo ~pno;
-              e.Active_list.e_idle <- 0;
               incr dirty_copied;
               hit st "ckpt.hybrid.copied"
             end
           end
           else begin
-            e.Active_list.e_idle <- e.Active_list.e_idle + 1;
-            if e.Active_list.e_idle > (Active_list.config st.State.active).Active_list.idle_limit
+            pg.Pagetable.idle <- pg.Pagetable.idle + 1;
+            if pg.Pagetable.idle > (Active_list.config st.State.active).Active_list.idle_limit
             then begin
               (* cold: DRAM -> NVM demotion *)
               let nvm_page = Ckpt_page.detach_runtime_slot store pages ~pno ~latest:(Some runtime) in
-              Kernel.remap_page kernel pmo ~pno nvm_page;
+              Pagetable.remap_page pg nvm_page;
               (* back on NVM: resume copy-on-write tracking *)
-              List.iter
-                (fun (pt, vpn) -> Pagetable.protect pt ~vpn)
-                (Kernel.mappings_of_page kernel pmo ~pno);
+              List.iter Pagetable.protect pg.Pagetable.maps;
               Store.free_dram_page store runtime;
-              e.Active_list.e_dram <- false;
-              Active_list.drop st.State.active e;
+              pg.Pagetable.dram <- false;
+              Active_list.drop st.State.active pg;
               incr migrated_out;
               hit st "ckpt.hybrid.migrated_out"
             end
@@ -287,19 +277,26 @@ let finish_commit st (r : Report.t) ~stw_t0 ~stw_t1 =
   emit_commit_probes st report;
   report
 
+(* The page's checkpoint record, with its runtime frame: [None] for a page
+   outside checkpoint management (unmanaged PMO, unbacked page, no record). *)
+let page_record st pmo pno =
+  match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
+  | None -> None
+  | Some oroot -> (
+    match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
+    | Some pages, Some runtime ->
+      Option.map (fun cp -> (pages, cp, runtime)) (Ckpt_page.find pages pno)
+    | (Some _ | None), _ -> None)
+
 (* Pay one owed copy: stop-and-copy the backlogged DRAM page into its
    stale CPP slot for the staged version and reopen it for writing.  False
    when the page vanished or left DRAM since the STW: no copy is owed. *)
-let pay_owed st (p : Drain.pending) (e : Drain.entry) =
-  let kernel = st.State.kernel in
-  let pmo = e.Drain.d_pmo and pno = e.Drain.d_pno in
-  match Radix.get pmo.Kobj.pmo_radix pno with
-  | Some runtime when Paddr.is_dram runtime ->
-    Ckpt_page.stop_and_copy_dram (Kernel.store kernel) e.Drain.d_cps ~runtime ~pno
-      ~new_ver:p.Drain.p_ver;
-    List.iter
-      (fun (pt, vpn) -> Pagetable.unprotect pt ~vpn)
-      (Kernel.mappings_of_page kernel pmo ~pno);
+let pay_owed st (p : Drain.pending) (pg : Pagetable.page) =
+  match page_record st pg.Pagetable.pmo pg.Pagetable.pno with
+  | Some (pages, _, runtime) when Paddr.is_dram runtime ->
+    Ckpt_page.stop_and_copy_dram (Kernel.store st.State.kernel) pages ~runtime
+      ~pno:pg.Pagetable.pno ~new_ver:p.Drain.p_ver;
+    List.iter Pagetable.unprotect pg.Pagetable.maps;
     p.Drain.p_drained <- p.Drain.p_drained + 1;
     true
   | Some _ | None -> false
@@ -381,22 +378,12 @@ let drain_step st =
 
 let settle st = ignore (drain_up_to st ~limit:max_int)
 
-(* The page's checkpoint record, with its runtime frame: [None] for a page
-   outside checkpoint management (unmanaged PMO, unbacked page, no record). *)
-let page_record st pmo pno =
-  match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
-  | None -> None
-  | Some oroot -> (
-    match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
-    | Some pages, Some runtime ->
-      Option.map (fun cp -> (pages, cp, runtime)) (Ckpt_page.find pages pno)
-    | (Some _ | None), _ -> None)
-
 (* Bank what a write to a protected page would destroy before it lands.
    With no drain window pending the committed version is the only restore
    target and the pre-image is its backup.  Inside a window (staged version
    N over committed N-1) the fault must keep both versions restorable. *)
-let bank_fault_backup st pmo pno =
+let bank_fault_backup st (pg : Pagetable.page) =
+  let pmo = pg.Pagetable.pmo and pno = pg.Pagetable.pno in
   let store = Kernel.store st.State.kernel in
   let committed = Global_meta.version (Store.meta store) in
   match Drain.pending st.State.drain with
@@ -412,13 +399,13 @@ let bank_fault_backup st pmo pno =
       p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
       hit st "ckpt.cow_fault.resolved"
     in
-    match Drain.take st.State.drain key with
-    | Some e ->
+    if Drain.take st.State.drain pg then begin
       (* backlogged DRAM page: pay its owed copy right now — the faulting
          op pays one page and the page reopens for writing *)
-      if Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.cow_fault" (fun () -> pay_owed st p e)
+      if Treesls_obs.Wearmap.with_writer (wearmap st) "ckpt.cow_fault" (fun () -> pay_owed st p pg)
       then resolved ()
-    | None -> (
+    end
+    else (
       (* NVM page protected at the STW: its backup must serve two masters —
          a crash mid-window restores to N-1, a settled window to N. *)
       match page_record st pmo pno with
@@ -449,10 +436,10 @@ let bank_fault_backup st pmo pno =
 
 (* Step 6 of Figure 5, the kernel's write-fault hook on a protected page:
    the copy-on-write backup, then hotness tracking for hybrid copy. *)
-let cow_fault st pmo pno =
+let cow_fault st pg =
   let f = st.State.features in
-  if f.State.copy_on_fault then bank_fault_backup st pmo pno;
-  if f.State.hybrid then Active_list.record_fault st.State.active pmo pno
+  if f.State.copy_on_fault then bank_fault_backup st pg;
+  if f.State.hybrid then Active_list.record_fault st.State.active pg
 
 let run st =
   (* one staged version in flight, ever: a window still draining must
@@ -482,7 +469,7 @@ let run st =
   let objects = ref 0 and fulls = ref 0 and snap_bytes = ref 0 in
   let protected_before =
     List.fold_left
-      (fun acc p -> acc + Pagetable.dirty_count (Kernel.pagetable kernel p.Kernel.vms))
+      (fun acc p -> acc + Pagetable.dirty_count p.Kernel.pt)
       0 (Kernel.processes kernel)
   in
   (* Dirty-set walk.  The live index (live set, DFS order, owners) is
@@ -516,7 +503,7 @@ let run st =
     in
     if not clean then begin
       let t_obj0 = now st in
-      let full, bytes = checkpoint_object st index obj ~new_ver in
+      let full, bytes = checkpoint_object st obj ~new_ver in
       hit st "ckpt.captree.obj";
       let dt = now st - t_obj0 in
       incr objects;

@@ -36,7 +36,7 @@ val settle : State.t -> unit
 (** Force the pending window (if any) durable now: drain the remaining
     backlog and commit. No-op when nothing is pending. *)
 
-val cow_fault : State.t -> Treesls_cap.Kobj.pmo -> int -> unit
+val cow_fault : State.t -> Treesls_kernel.Pagetable.page -> unit
 (** The kernel's write-fault hook on a protected page (step 6): with
     [copy_on_fault] on, bank the page's backup before the write lands —
     against the committed version, or, while a drain window is pending,
@@ -44,9 +44,3 @@ val cow_fault : State.t -> Treesls_cap.Kobj.pmo -> int -> unit
     valid for both the staged and the committed version (protected NVM
     page); with [hybrid] on, record the fault for hotness tracking. *)
 
-val resolve_region : Treesls_cap.Kobj.vmspace -> int -> (Treesls_cap.Kobj.pmo * int) option
-(** [resolve_region vms vpn] is the (pmo, page index) backing [vpn], via an
-    interval index over the VM space's regions; when regions overlap, the
-    first one in region-list order wins.  Uncached: the walk resolves
-    through {!Live_index.resolve}, which caches the interval index per VM
-    space. *)

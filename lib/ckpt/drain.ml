@@ -8,10 +8,10 @@
    committed version stays [p_ver - 1] and every structure here
    describes the in-flight version [p_ver]:
 
-   - [index]/[queue]: dirty DRAM pages protected at the STW whose copy
-     into the stale CPP slot is still owed.  A write fault on such a
-     page resolves its entry immediately (the faulting op pays one page)
-     and unprotects it.
+   - [queue]: dirty DRAM pages protected at the STW whose copy into the
+     stale CPP slot is still owed (the page descriptor's [owed] flag).  A
+     write fault on such a page resolves it immediately (the faulting op
+     pays one page) and unprotects it.
    - [restamp]: NVM pages clean at [p_ver] that took a CoW backup during
      the drain window.  The backed-up pre-image equals the page's
      content at both [p_ver - 1] and [p_ver], so settle lifts the slot
@@ -28,13 +28,11 @@
    phase frees them ([abandon] — the committed ORoots reference only
    slots stamped at or below the restore target). *)
 
-module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
+module Pagetable = Treesls_kernel.Pagetable
 
 type policy = Eager | Lazy of int
-
-type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 
 type pending = {
   p_ver : int;  (* the staged (uncommitted) version *)
@@ -49,8 +47,8 @@ type pending = {
 }
 
 type t = {
-  index : (int * int, entry) Hashtbl.t;  (* (pmo_id, pno) -> owed copy *)
-  queue : (int * int) Queue.t;  (* drain order; deleted lazily against [index] *)
+  queue : Pagetable.page Queue.t;  (* drain order; pages no longer owed are skipped lazily *)
+  mutable backlog : int;  (* pages owed *)
   restamp : (int * int, Ckpt_page.cp) Hashtbl.t;
   saved : (int * int, Ckpt_page.cp * Paddr.t) Hashtbl.t;
   mutable pending : pending option;
@@ -58,38 +56,46 @@ type t = {
 
 let create () =
   {
-    index = Hashtbl.create 64;
     queue = Queue.create ();
+    backlog = 0;
     restamp = Hashtbl.create 16;
     saved = Hashtbl.create 16;
     pending = None;
   }
 
-let backlog t = Hashtbl.length t.index
+let backlog t = t.backlog
 let pending t = t.pending
 let pending_version t = match t.pending with Some p -> Some p.p_ver | None -> None
 
-let enqueue t (e : entry) =
-  let key = (e.d_pmo.Kobj.pmo_id, e.d_pno) in
-  if not (Hashtbl.mem t.index key) then begin
-    Hashtbl.replace t.index key e;
-    Queue.push key t.queue
+let enqueue t (pg : Pagetable.page) =
+  if not pg.owed then begin
+    pg.owed <- true;
+    t.backlog <- t.backlog + 1;
+    Queue.push pg t.queue
   end
 
-(* Claim (and remove) the owed copy for a page, if any — the fault path
-   resolving a still-protected page out of drain order.  The queue entry
-   dies lazily at [pop] time. *)
-let take t key =
-  match Hashtbl.find_opt t.index key with
-  | Some e ->
-    Hashtbl.remove t.index key;
-    Some e
-  | None -> None
+(* Claim the owed copy of a page, if any — the fault path resolving a
+   still-protected page out of drain order.  The queue entry dies lazily
+   at [pop] time. *)
+let take t (pg : Pagetable.page) =
+  pg.owed
+  && begin
+       pg.owed <- false;
+       t.backlog <- t.backlog - 1;
+       true
+     end
 
 let rec pop t =
   match Queue.take_opt t.queue with
   | None -> None
-  | Some key -> ( match take t key with Some e -> Some e | None -> pop t)
+  | Some pg -> if take t pg then Some pg else pop t
+
+let queued t = List.of_seq (Queue.to_seq t.queue)
+
+let clear_queue t =
+  Queue.iter (fun (pg : Pagetable.page) -> pg.owed <- false) t.queue;
+  Queue.clear t.queue;
+  t.backlog <- 0
 
 let publish t p =
   assert (t.pending = None);
@@ -115,15 +121,13 @@ let apply_settle store t ~ver =
 
 let clear_pending t =
   t.pending <- None;
-  Hashtbl.reset t.index;
-  Queue.clear t.queue
+  clear_queue t
 
 (* Power failure mid-window: the backlog and restamp tables are volatile
    bookkeeping; the saved frames (NVM) and the pending stamp survive for
    restore's [drain_settle] phase. *)
 let note_crash t =
-  Hashtbl.reset t.index;
-  Queue.clear t.queue;
+  clear_queue t;
   Hashtbl.reset t.restamp
 
 (* Restore's [drain_settle]: the staged version is abandoned — free the
@@ -134,7 +138,6 @@ let abandon store t =
   Hashtbl.iter (fun _ (_, frame) -> Store.free_page store frame) t.saved;
   Hashtbl.reset t.saved;
   Hashtbl.reset t.restamp;
-  Hashtbl.reset t.index;
-  Queue.clear t.queue;
+  clear_queue t;
   t.pending <- None;
   n

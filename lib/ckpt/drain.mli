@@ -11,9 +11,9 @@
     frames are NVM-resident and survive until restore's [drain_settle]
     phase frees them ({!abandon}). *)
 
-module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
+module Pagetable = Treesls_kernel.Pagetable
 
 type policy =
   | Eager  (** copy every dirty DRAM-cached page inside the STW (default) *)
@@ -21,10 +21,6 @@ type policy =
       (** defer those copies to the backlog and copy this many pages per
           drain step (>= 1, checked at boot); [Lazy max_int] empties the
           whole backlog at the first step *)
-
-type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
-(** One owed copy: a dirty DRAM-cached page protected at the STW whose
-    stop-and-copy into its stale CPP slot is still outstanding. *)
 
 type pending = {
   p_ver : int;  (** the staged (uncommitted) version *)
@@ -48,14 +44,22 @@ val backlog : t -> int
 val pending : t -> pending option
 val pending_version : t -> int option
 
-val enqueue : t -> entry -> unit
-val take : t -> int * int -> entry option
-(** Claim (and remove) the owed copy for [(pmo_id, pno)], if any — the
-    fault path resolving a page out of drain order. *)
+val enqueue : t -> Pagetable.page -> unit
+(** Owe a copy of a dirty DRAM-cached page protected at the STW: its
+    stop-and-copy into the stale CPP slot is deferred to the drain.  Sets
+    the descriptor's [owed] flag. *)
 
-val pop : t -> entry option
-(** Next owed copy in drain order (entries claimed by {!take} are skipped
+val take : t -> Pagetable.page -> bool
+(** Claim the page's owed copy, if any — the fault path resolving a page
+    out of drain order. *)
+
+val pop : t -> Pagetable.page option
+(** Next owed page in drain order (pages claimed by {!take} are skipped
     lazily); [None] when the backlog is empty. *)
+
+val queued : t -> Pagetable.page list
+(** The drain queue as it stands, claimed pages included (for the
+    descriptor audit). *)
 
 val publish : t -> pending -> unit
 (** Stage a window. At most one may be in flight. *)

@@ -1,67 +1,6 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 
-(* vpn -> (pmo, page index) within a VM space.
-
-   Regions are kept in an interval index sorted by start vpn so a lookup is
-   a binary search instead of a scan of the whole region list (the protect
-   pass resolves every dirty vpn, so this is on the STW path).  When
-   regions overlap, the first match in list order wins; the index
-   preserves that by remembering each region's list position and scanning
-   left from the binary-search point while the running max end vpn still
-   covers the query. *)
-type regions = {
-  ri_list : Kobj.vm_region list;  (* identity token for invalidation *)
-  ri_sorted : (Kobj.vm_region * int) array;  (* by vr_vpn, with list position *)
-  ri_max_end : int array;  (* ri_max_end.(i) = max end vpn over ri_sorted.(0..i) *)
-}
-
-let build_regions vms =
-  let arr = Array.of_list (List.mapi (fun i r -> (r, i)) vms.Kobj.vs_regions) in
-  Array.sort
-    (fun ((a : Kobj.vm_region), ia) (b, ib) ->
-      match compare a.Kobj.vr_vpn b.Kobj.vr_vpn with 0 -> compare ia ib | c -> c)
-    arr;
-  let max_end = Array.make (Array.length arr) 0 in
-  let run = ref 0 in
-  Array.iteri
-    (fun i ((r : Kobj.vm_region), _) ->
-      run := max !run (r.Kobj.vr_vpn + r.Kobj.vr_pages);
-      max_end.(i) <- !run)
-    arr;
-  { ri_list = vms.Kobj.vs_regions; ri_sorted = arr; ri_max_end = max_end }
-
-let lookup_region idx vpn =
-  let arr = idx.ri_sorted in
-  (* rightmost entry starting at or before vpn *)
-  let last = ref (-1) in
-  let lo = ref 0 and hi = ref (Array.length arr - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r, _ = arr.(mid) in
-    if r.Kobj.vr_vpn <= vpn then begin
-      last := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  let best = ref None in
-  let i = ref !last in
-  while !i >= 0 && idx.ri_max_end.(!i) > vpn do
-    let r, pos = arr.(!i) in
-    if vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages then begin
-      match !best with
-      | Some (_, best_pos) when best_pos <= pos -> ()
-      | Some _ | None -> best := Some (r, pos)
-    end;
-    decr i
-  done;
-  match !best with
-  | Some (r, _) -> Some (r.Kobj.vr_pmo, vpn - r.Kobj.vr_vpn)
-  | None -> None
-
-let resolve_region vms vpn = lookup_region (build_regions vms) vpn
-
 (* [rank] indexes the kernel's process list at build time; the process
    count itself stands for "kernel" (reachable from no process). *)
 type slot = { pos : int; mutable rank : int }
@@ -71,7 +10,6 @@ type t = {
   slots : (int, slot) Hashtbl.t;  (* object id -> DFS position + owner *)
   order : Kobj.t array;  (* live objects in root-DFS preorder *)
   names : string array;  (* process rank -> process name *)
-  regions : (int, regions) Hashtbl.t;  (* vs_id -> region index, built lazily *)
 }
 
 (* One DFS from the root yields the live set and each object's preorder
@@ -119,7 +57,6 @@ let build kernel =
     slots;
     order = Array.of_list (List.rev !order);
     names;
-    regions = Hashtbl.create 64;
   }
 
 let epoch t = t.epoch
@@ -141,14 +78,3 @@ let live_dirty t log =
       | None -> ())
     log;
   List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) !hits)
-
-let resolve t vms vpn =
-  let idx =
-    match Hashtbl.find_opt t.regions vms.Kobj.vs_id with
-    | Some idx when idx.ri_list == vms.Kobj.vs_regions -> idx
-    | Some _ | None ->
-      let idx = build_regions vms in
-      Hashtbl.replace t.regions vms.Kobj.vs_id idx;
-      idx
-  in
-  lookup_region idx vpn

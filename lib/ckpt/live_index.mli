@@ -7,9 +7,7 @@
     stands still no object can become reachable or unreachable, so the
     walk takes the dirty set, keeps the live entries and visits them in
     cached DFS order — the same objects in the same order as a full walk
-    that skips clean ones.  The index also caches each VM space's region
-    interval index; the cache dies with the index, so entries never
-    outlive their VM space or leak between systems. *)
+    that skips clean ones. *)
 
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
@@ -37,10 +35,3 @@ val owner : t -> int -> string
 val live_dirty : t -> Kobj.log -> Kobj.t list
 (** The log's dirty objects that are live, in DFS order. *)
 
-val resolve : t -> Kobj.vmspace -> int -> (Kobj.pmo * int) option
-(** vpn -> (pmo, page index), through the index's per-VM-space region
-    cache (rebuilt when the region list is replaced).  Overlapping regions
-    resolve to the first match in list order. *)
-
-val resolve_region : Kobj.vmspace -> int -> (Kobj.pmo * int) option
-(** {!resolve} without a cache: builds the region interval index afresh. *)

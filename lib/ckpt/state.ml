@@ -141,7 +141,8 @@ let gc_dead_oroots t ~live =
           | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
           | Some _ | None -> None
         in
-        Ckpt_page.free_all store pages ~runtime_of
+        Ckpt_page.free_all store pages ~runtime_of;
+        Kernel.forget_pages t.kernel oid
       | None -> ());
       Hashtbl.remove t.oroots oid)
     dead;

@@ -12,6 +12,7 @@ type process = {
   pname : string;
   cg : Kobj.cap_group;
   vms : Kobj.vmspace;
+  pt : Pagetable.t;
   mutable threads : Kobj.thread list;
   mutable brk_vpn : int;
 }
@@ -32,10 +33,9 @@ type t = {
   ncores : int;
   root : Kobj.cap_group;
   mutable procs : process list;
-  pagetables : (int, Pagetable.t) Hashtbl.t;
-  rmap : (int * int, (Pagetable.t * int) list ref) Hashtbl.t;
+  pages : Pagetable.page Radix.t Radix.t;  (* pmo id -> pno -> descriptor *)
   sched : Sched.t;
-  mutable cow_hook : (Kobj.pmo -> int -> unit) option;
+  mutable cow_hook : (Pagetable.page -> unit) option;
   mutable fresh_hook : (Kobj.pmo -> int -> unit) option;
   stats : stats;
   ipc_handlers : (int, Bytes.t -> Bytes.t) Hashtbl.t;
@@ -58,28 +58,30 @@ let log t = t.log
 let find_process t ~name = List.find_opt (fun p -> p.pname = name) t.procs
 
 let pagetable t vms =
-  match Hashtbl.find_opt t.pagetables vms.Kobj.vs_id with
-  | Some pt -> pt
+  Option.map (fun p -> p.pt) (List.find_opt (fun p -> p.vms == vms) t.procs)
+
+let page t pmo ~pno = Option.bind (Radix.get t.pages pmo.Kobj.pmo_id) (fun pgs -> Radix.get pgs pno)
+let iter_pages t f = Radix.iter (fun _ pgs -> Radix.iter (fun _ pg -> f pg) pgs) t.pages
+let forget_pages t pmo_id = Radix.remove t.pages pmo_id
+
+(* The page's descriptor, created when it is first mapped. *)
+let page_of t pmo pno =
+  let pgs =
+    match Radix.get t.pages pmo.Kobj.pmo_id with
+    | Some pgs -> pgs
+    | None ->
+      let pgs = Radix.create () in
+      Radix.set t.pages pmo.Kobj.pmo_id pgs;
+      pgs
+  in
+  match Radix.get pgs pno with
+  | Some pg -> pg
   | None ->
-    let pt = Pagetable.create () in
-    Hashtbl.replace t.pagetables vms.Kobj.vs_id pt;
-    pt
+    let pg = Pagetable.new_page pmo pno in
+    Radix.set pgs pno pg;
+    pg
 
-let rmap_add t pmo pno pt vpn =
-  let key = (pmo.Kobj.pmo_id, pno) in
-  match Hashtbl.find_opt t.rmap key with
-  | Some l -> l := (pt, vpn) :: !l
-  | None -> Hashtbl.replace t.rmap key (ref [ (pt, vpn) ])
-
-(* Mappings whose PTE still exists; prunes stale entries lazily. *)
-let rmap_live t pmo pno =
-  let key = (pmo.Kobj.pmo_id, pno) in
-  match Hashtbl.find_opt t.rmap key with
-  | None -> []
-  | Some l ->
-    let live = List.filter (fun (pt, vpn) -> Pagetable.lookup pt ~vpn <> None) !l in
-    l := live;
-    live
+let mappings_of_page t pmo ~pno = match page t pmo ~pno with Some pg -> pg.Pagetable.maps | None -> []
 
 let set_cow_hook t h = t.cow_hook <- h
 let set_fresh_hook t h = t.fresh_hook <- h
@@ -125,7 +127,9 @@ let create_process t ~name ~threads ~prio =
   install_obj t t.root (Kobj.Cap_group cg) Treesls_cap.Rights.full;
   let vms = Kobj.make_vmspace ~id:(Id_gen.next t.ids) in
   install_obj t cg (Kobj.Vmspace vms) Treesls_cap.Rights.full;
-  let proc = { pid = cg.Kobj.cg_id; pname = name; cg; vms; threads = []; brk_vpn = 16 } in
+  let proc =
+    { pid = cg.Kobj.cg_id; pname = name; cg; vms; pt = Pagetable.create (); threads = []; brk_vpn = 16 }
+  in
   let code = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
   install_obj t cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
   ignore (add_region t proc code ~writable:false);
@@ -147,7 +151,9 @@ let exit_process t proc =
     (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.log t.root slot)
     t.root;
   t.procs <- List.filter (fun p -> p.pid <> proc.pid) t.procs;
-  Hashtbl.remove t.pagetables proc.vms.Kobj.vs_id
+  (* the pages it dirtied stay dirty: the next checkpoint still captures
+     what it wrote *)
+  Pagetable.unmap_all proc.pt
 
 let grow_heap t proc ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_normal in
@@ -237,59 +243,52 @@ let wait_irq t irq th =
 (* Major fault on a swapped-out page: bring it back from the SSD and
    repoint the radix and every PTE (memory over-commitment, paper
    section 8). *)
-let swap_in_page t pmo ~pno slot =
+let swap_in_page t pg slot =
   charge t (cost t).Cost.trap_ns;
   t.stats.page_faults <- t.stats.page_faults + 1;
   t.stats.swap_ins <- t.stats.swap_ins + 1;
   Probe.count (probe t) "kernel.faults.major" 1;
-  let fresh = Store.swap_in t.store ~slot in
-  Radix.set pmo.Kobj.pmo_radix pno fresh;
-  List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:fresh) (rmap_live t pmo pno);
-  fresh
+  Pagetable.remap_page pg (Store.swap_in t.store ~slot)
 
-(* Returns the PTE's physical address with the page present and, when
-   [for_write], writable — running the fault paths as needed. *)
+(* The CoW hook runs on normal PMOs only: eternal pages are never rolled
+   back, so they need no backup. *)
+let cow_upgrade t (pg : Pagetable.page) =
+  match (pg.Pagetable.pmo.Kobj.pmo_kind, t.cow_hook) with
+  | Kobj.Pmo_normal, Some h -> h pg
+  | (Kobj.Pmo_normal | Kobj.Pmo_eternal), _ -> ()
+
+(* Returns the PTE mapping [vpn], present and, when [for_write], writable —
+   running the fault paths as needed.  The common case is one lookup. *)
 let ensure_mapped t proc ~vpn ~for_write =
   assert t.alive;
-  let pt = pagetable t proc.vms in
-  let cow_upgrade region pno =
-    (match region.Kobj.vr_pmo.Kobj.pmo_kind with
-    | Kobj.Pmo_eternal -> ()
-    | Kobj.Pmo_normal -> (
-      match t.cow_hook with Some h -> h region.Kobj.vr_pmo pno | None -> ()))
-  in
-  (* swapped-out pages fault back in before anything else *)
-  (match Pagetable.lookup pt ~vpn with
-  | Some pte when Paddr.is_ssd pte.Pagetable.paddr -> (
-    match region_of proc vpn with
-    | Some region ->
-      ignore (swap_in_page t region.Kobj.vr_pmo ~pno:(vpn - region.Kobj.vr_vpn) pte.Pagetable.paddr)
-    | None -> ())
-  | Some _ | None -> ());
+  let pt = proc.pt in
   match Pagetable.lookup pt ~vpn with
-  | Some pte when (not for_write) || pte.Pagetable.writable -> pte.Pagetable.paddr
+  | Some pte
+    when ((not for_write) || pte.Pagetable.writable) && not (Paddr.is_ssd pte.Pagetable.paddr) ->
+    pte
   | Some pte ->
-    (* write to a read-only mapping: copy-on-write fault *)
-    let region =
-      match region_of proc vpn with
-      | Some r -> r
-      | None -> invalid_arg "Kernel: mapping without region"
-    in
-    if not region.Kobj.vr_writable then invalid_arg "Kernel: write to read-only region";
-    charge t (cost t).Cost.trap_ns;
-    t.stats.page_faults <- t.stats.page_faults + 1;
-    t.stats.cow_faults <- t.stats.cow_faults + 1;
-    Probe.count (probe t) "kernel.faults.cow" 1;
-    cow_upgrade region (vpn - region.Kobj.vr_vpn);
-    Pagetable.make_writable pt ~vpn;
-    (* the PTE just joined the pagetable's dirty list: the next checkpoint
-       must run the protect pass over this vmspace, so mark it dirty *)
-    Kobj.touch t.log (Kobj.Vmspace proc.vms);
-    (* the CoW hook may have migrated the page; reload *)
-    (match Pagetable.lookup pt ~vpn with
-    | Some p -> p.Pagetable.paddr
-    | None -> pte.Pagetable.paddr)
-  | None -> (
+    (* swapped-out pages fault back in before anything else *)
+    if Paddr.is_ssd pte.Pagetable.paddr then
+      swap_in_page t pte.Pagetable.page pte.Pagetable.paddr;
+    if for_write && not pte.Pagetable.writable then begin
+      (* write to a read-only mapping: copy-on-write fault *)
+      (match region_of proc vpn with
+      | Some r when r.Kobj.vr_writable -> ()
+      | Some _ -> invalid_arg "Kernel: write to read-only region"
+      | None -> invalid_arg "Kernel: mapping without region");
+      charge t (cost t).Cost.trap_ns;
+      t.stats.page_faults <- t.stats.page_faults + 1;
+      t.stats.cow_faults <- t.stats.cow_faults + 1;
+      Probe.count (probe t) "kernel.faults.cow" 1;
+      (* the hook may migrate the page: remap updates this PTE in place *)
+      cow_upgrade t pte.Pagetable.page;
+      Pagetable.make_writable pt pte;
+      (* the PTE just joined the pagetable's dirty list: the next checkpoint
+         must run the protect pass over this vmspace, so mark it dirty *)
+      Kobj.touch t.log (Kobj.Vmspace proc.vms)
+    end;
+    pte
+  | None ->
     let region =
       match region_of proc vpn with
       | Some r -> r
@@ -297,70 +296,40 @@ let ensure_mapped t proc ~vpn ~for_write =
     in
     if for_write && not region.Kobj.vr_writable then
       invalid_arg "Kernel: write to read-only region";
-    let pno = vpn - region.Kobj.vr_vpn in
+    let pmo = region.Kobj.vr_pmo and pno = vpn - region.Kobj.vr_vpn in
     charge t (cost t).Cost.trap_ns;
     t.stats.page_faults <- t.stats.page_faults + 1;
-    match Radix.get region.Kobj.vr_pmo.Kobj.pmo_radix pno with
-    | Some slot when Paddr.is_ssd slot ->
-      let paddr = swap_in_page t region.Kobj.vr_pmo ~pno slot in
-      if for_write then begin
-        t.stats.cow_faults <- t.stats.cow_faults + 1;
-        cow_upgrade region pno
-      end;
-      let paddr =
-        match Radix.get region.Kobj.vr_pmo.Kobj.pmo_radix pno with
-        | Some p -> p
-        | None -> paddr
-      in
-      Pagetable.map pt ~vpn ~paddr ~writable:for_write;
-      if for_write then Kobj.touch t.log (Kobj.Vmspace proc.vms);
-      rmap_add t region.Kobj.vr_pmo pno pt vpn;
-      paddr
-    | Some paddr ->
-      (* present in the PMO, just not in this page table (e.g. after a
-         restore rebuilt page tables empty) *)
-      if for_write then begin
-        t.stats.cow_faults <- t.stats.cow_faults + 1;
-        cow_upgrade region pno;
-        (* reload: the hook may migrate *)
-        let paddr =
-          match Radix.get region.Kobj.vr_pmo.Kobj.pmo_radix pno with
-          | Some p -> p
-          | None -> paddr
-        in
-        Pagetable.map pt ~vpn ~paddr ~writable:true;
-        Kobj.touch t.log (Kobj.Vmspace proc.vms);
-        rmap_add t region.Kobj.vr_pmo pno pt vpn;
+    let pg = page_of t pmo pno in
+    let paddr =
+      match Radix.get pmo.Kobj.pmo_radix pno with
+      | Some paddr ->
+        (* present in the PMO, just not in this page table (e.g. after a
+           restore rebuilt page tables empty); swapped out, it comes back
+           from the SSD first *)
+        if Paddr.is_ssd paddr then swap_in_page t pg paddr;
+        if for_write then begin
+          t.stats.cow_faults <- t.stats.cow_faults + 1;
+          cow_upgrade t pg
+        end;
+        (* reload: the swap-in and the hook may move the page *)
+        Option.value ~default:paddr (Radix.get pmo.Kobj.pmo_radix pno)
+      | None ->
+        (* first touch: allocate the page on NVM *)
+        t.stats.alloc_faults <- t.stats.alloc_faults + 1;
+        Probe.count (probe t) "kernel.faults.alloc" 1;
+        let paddr = Store.alloc_page t.store in
+        Radix.set pmo.Kobj.pmo_radix pno paddr;
+        (* the fresh page needs a CP record at the next walk; the PMO must
+           not be skipped before its pending-fresh list is drained *)
+        Kobj.touch t.log (Kobj.Pmo pmo);
+        (match t.fresh_hook with Some h -> h pmo pno | None -> ());
         paddr
-      end
-      else begin
-        Pagetable.map pt ~vpn ~paddr ~writable:false;
-        rmap_add t region.Kobj.vr_pmo pno pt vpn;
-        paddr
-      end
-    | None ->
-      (* first touch: allocate the page on NVM *)
-      t.stats.alloc_faults <- t.stats.alloc_faults + 1;
-      Probe.count (probe t) "kernel.faults.alloc" 1;
-      let paddr = Store.alloc_page t.store in
-      Radix.set region.Kobj.vr_pmo.Kobj.pmo_radix pno paddr;
-      (* the fresh page needs a CP record at the next walk; the PMO must
-         not be skipped before its pending-fresh list is drained *)
-      Kobj.touch t.log (Kobj.Pmo region.Kobj.vr_pmo);
-      (match t.fresh_hook with Some h -> h region.Kobj.vr_pmo pno | None -> ());
-      Pagetable.map pt ~vpn ~paddr ~writable:for_write;
-      if for_write then Kobj.touch t.log (Kobj.Vmspace proc.vms);
-      rmap_add t region.Kobj.vr_pmo pno pt vpn;
-      paddr)
+    in
+    let pte = Pagetable.map pt ~vpn pg ~paddr ~writable:for_write in
+    if for_write then Kobj.touch t.log (Kobj.Vmspace proc.vms);
+    pte
 
 let page_size t = (cost t).Cost.page_size
-
-(* Post-write: set the hardware dirty bit on the PTE. *)
-let set_dirty_bit t proc vpn =
-  let pt = pagetable t proc.vms in
-  match Pagetable.lookup pt ~vpn with
-  | Some pte -> pte.Pagetable.dirty <- true
-  | None -> ()
 
 (* The generic write syscall claims the "app" wear context, but only as a
    default: when a more specific subsystem (extsync ring, checkpoint) is
@@ -373,9 +342,9 @@ let write_bytes t proc ~vaddr (data : Bytes.t) =
     if remaining > 0 then begin
       let vpn = vaddr / psz and off = vaddr mod psz in
       let chunk = min remaining (psz - off) in
-      let paddr = ensure_mapped t proc ~vpn ~for_write:true in
-      Store.write_page t.store paddr ~off (Bytes.sub data src_off chunk);
-      set_dirty_bit t proc vpn;
+      let pte = ensure_mapped t proc ~vpn ~for_write:true in
+      Store.write_page t.store pte.Pagetable.paddr ~off (Bytes.sub data src_off chunk);
+      Pagetable.set_dirty pte;
       loop (vaddr + chunk) (src_off + chunk) (remaining - chunk)
     end
   in
@@ -388,8 +357,8 @@ let read_bytes t proc ~vaddr ~len =
     if remaining > 0 then begin
       let vpn = vaddr / psz and off = vaddr mod psz in
       let chunk = min remaining (psz - off) in
-      let paddr = ensure_mapped t proc ~vpn ~for_write:false in
-      let data = Store.read_page t.store paddr ~off ~len:chunk in
+      let pte = ensure_mapped t proc ~vpn ~for_write:false in
+      let data = Store.read_page t.store pte.Pagetable.paddr ~off ~len:chunk in
       Bytes.blit data 0 out dst_off chunk;
       loop (vaddr + chunk) (dst_off + chunk) (remaining - chunk)
     end
@@ -401,76 +370,46 @@ let cookie = Bytes.make 8 '\x5a'
 
 let touch_write t proc ~vpn =
   Treesls_obs.Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" @@ fun () ->
-  let paddr = ensure_mapped t proc ~vpn ~for_write:true in
-  Store.write_page t.store paddr ~off:0 cookie;
-  set_dirty_bit t proc vpn
+  let pte = ensure_mapped t proc ~vpn ~for_write:true in
+  Store.write_page t.store pte.Pagetable.paddr ~off:0 cookie;
+  Pagetable.set_dirty pte
 
 let page_paddr t proc ~vpn =
   match region_of proc vpn with
   | None -> None
-  | Some _ -> Some (ensure_mapped t proc ~vpn ~for_write:false)
+  | Some _ -> Some (ensure_mapped t proc ~vpn ~for_write:false).Pagetable.paddr
 
 let syscall t ~work_ns =
   t.stats.syscalls <- t.stats.syscalls + 1;
   Probe.count (probe t) "kernel.syscalls" 1;
   charge t ((cost t).Cost.syscall_ns + work_ns)
 
-(* --- page migration support --------------------------------------------- *)
-
-let remap_page t pmo ~pno paddr =
-  Radix.set pmo.Kobj.pmo_radix pno paddr;
-  List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr) (rmap_live t pmo pno)
-
-let page_dirty t pmo ~pno =
-  List.exists
-    (fun (pt, vpn) ->
-      match Pagetable.lookup pt ~vpn with
-      | Some pte -> pte.Pagetable.dirty
-      | None -> false)
-    (rmap_live t pmo pno)
-
-let clear_page_dirty t pmo ~pno =
-  List.iter
-    (fun (pt, vpn) ->
-      match Pagetable.lookup pt ~vpn with
-      | Some pte -> pte.Pagetable.dirty <- false
-      | None -> ())
-    (rmap_live t pmo pno)
-
-let mappings_of_page t pmo ~pno = rmap_live t pmo pno
-
 (* --- cold-page eviction (memory over-commitment, paper section 8) ----- *)
 
 (* A page is evictable if it lives on NVM, is clean, and every mapping is
    already read-only (cold: it has not been written since its last
    checkpoint protection). *)
-let evictable t pmo ~pno =
-  pmo.Kobj.pmo_kind = Kobj.Pmo_normal
-  && (match Radix.get pmo.Kobj.pmo_radix pno with
+let evictable (pg : Pagetable.page) =
+  pg.Pagetable.pmo.Kobj.pmo_kind = Kobj.Pmo_normal
+  && (match Radix.get pg.Pagetable.pmo.Kobj.pmo_radix pg.Pagetable.pno with
      | Some p -> Paddr.is_nvm p
      | None -> false)
-  && (not (page_dirty t pmo ~pno))
-  && List.for_all
-       (fun (pt, vpn) ->
-         match Pagetable.lookup pt ~vpn with
-         | Some pte -> not pte.Pagetable.writable
-         | None -> true)
-       (rmap_live t pmo pno)
+  && (not (Pagetable.page_dirty pg))
+  && List.for_all (fun pte -> not pte.Pagetable.writable) pg.Pagetable.maps
 
 let evict_page t pmo ~pno =
-  if not (evictable t pmo ~pno) then false
+  let pg = page_of t pmo pno in
+  if not (evictable pg) then false
   else
     match Radix.get pmo.Kobj.pmo_radix pno with
     | Some src -> (
       match Store.swap_out t.store ~src with
       | Some slot ->
-        Radix.set pmo.Kobj.pmo_radix pno slot;
-        List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:slot) (rmap_live t pmo pno);
+        Pagetable.remap_page pg slot;
         t.stats.swap_outs <- t.stats.swap_outs + 1;
         true
       | None -> false)
     | None -> false
-
 let evict_cold t ~limit =
   let evicted = ref 0 in
   (try
@@ -510,8 +449,10 @@ let resume_cores t =
 let crash t =
   Store.crash t.store;
   Hashtbl.reset t.ipc_handlers;
-  Hashtbl.reset t.pagetables;
-  Hashtbl.reset t.rmap;
+  (* DRAM is gone: empty the page tables too, which callers may still
+     reach through their pre-crash process records *)
+  List.iter (fun p -> Pagetable.unmap_all p.pt) t.procs;
+  Radix.clear t.pages;
   Sched.clear t.sched;
   t.procs <- [];
   t.alive <- false
@@ -552,7 +493,17 @@ let derive_processes root =
           in
           procs :=
             !procs
-            @ [ { pid = cg.Kobj.cg_id; pname = cg.Kobj.cg_name; cg; vms; threads = !threads; brk_vpn = brk } ])
+            @ [
+                {
+                  pid = cg.Kobj.cg_id;
+                  pname = cg.Kobj.cg_name;
+                  cg;
+                  vms;
+                  pt = Pagetable.create ();
+                  threads = !threads;
+                  brk_vpn = brk;
+                };
+              ])
       | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Pmo _ | Kobj.Ipc_conn _
       | Kobj.Notification _ | Kobj.Irq_notification _ -> ())
     root;
@@ -568,8 +519,7 @@ let rebuild ~store ~ncores ~root ~ids_hwm ~log =
       ncores;
       root;
       procs = [];
-      pagetables = Hashtbl.create 16;
-      rmap = Hashtbl.create 256;
+      pages = Radix.create ();
       sched = Sched.create ();
       cow_hook = None;
       fresh_hook = None;
@@ -624,8 +574,7 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       ncores;
       root;
       procs = [];
-      pagetables = Hashtbl.create 16;
-      rmap = Hashtbl.create 256;
+      pages = Radix.create ();
       sched = Sched.create ();
       cow_hook = None;
       fresh_hook = None;

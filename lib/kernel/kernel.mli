@@ -21,6 +21,7 @@ type process = {
   pname : string;
   cg : Kobj.cap_group;
   vms : Kobj.vmspace;
+  pt : Pagetable.t;  (** its (DRAM) page table, rebuilt empty after a restore *)
   mutable threads : Kobj.thread list;
   mutable brk_vpn : int;  (** next unused virtual page number *)
 }
@@ -75,13 +76,33 @@ val log : t -> Kobj.log
 
 val find_process : t -> name:string -> process option
 
-val pagetable : t -> Kobj.vmspace -> Pagetable.t
-(** The (DRAM) page table of a VM space, created empty on first use. *)
+val pagetable : t -> Kobj.vmspace -> Pagetable.t option
+(** The page table of the live process owning a VM space, if any: a scan
+    of the process list for the checkpoint's protect pass (the access
+    paths use the process's own [pt]). *)
+
+(** {2 Page descriptors}
+
+    One volatile {!Pagetable.page} per (PMO, page) ever mapped, owned by
+    the kernel: created at the page's first mapping, they die with a crash
+    and {!rebuild} starts with none, like the page tables. *)
+
+val page : t -> Kobj.pmo -> pno:int -> Pagetable.page option
+val iter_pages : t -> (Pagetable.page -> unit) -> unit
+
+val forget_pages : t -> int -> unit
+(** Drop the descriptors of a PMO, by id, that left the tree: no live
+    process maps it any more (region PMOs are reachable through their VM
+    space). *)
+
+val mappings_of_page : t -> Kobj.pmo -> pno:int -> Pagetable.pte list
+(** The PTEs currently mapping the page (an exited process's are gone). *)
 
 (** {2 Hooks installed by the checkpoint manager} *)
 
-val set_cow_hook : t -> (Kobj.pmo -> int -> unit) option -> unit
-(** Called with (pmo, page index) just before a page becomes writable. *)
+val set_cow_hook : t -> (Pagetable.page -> unit) option -> unit
+(** Called with the page's descriptor just before a page becomes
+    writable. *)
 
 val set_fresh_hook : t -> (Kobj.pmo -> int -> unit) option -> unit
 (** Called after a fresh page is allocated into a PMO. *)
@@ -93,7 +114,8 @@ val create_process : t -> name:string -> threads:int -> prio:int -> process
     per-thread 1-page stack PMOs, [threads] ready threads. *)
 
 val exit_process : t -> process -> unit
-(** Marks threads exited and revokes the process's cap from the root. *)
+(** Marks threads exited, revokes the process's cap from the root and
+    drops its mappings (the pages it dirtied stay dirty). *)
 
 val add_thread : t -> process -> prio:int -> Kobj.thread
 
@@ -155,21 +177,6 @@ val evict_cold : t -> limit:int -> int
 (** Sweep all processes and evict up to [limit] cold pages; returns how
     many were evicted. Intended to run under NVM pressure. *)
 
-(** {2 Page migration support (hybrid copy)} *)
-
-val remap_page : t -> Kobj.pmo -> pno:int -> Paddr.t -> unit
-(** Point the PMO radix entry and every PTE mapping (pmo, pno) at a new
-    physical page (NVM/DRAM migration; the data copy is the caller's). *)
-
-val page_dirty : t -> Kobj.pmo -> pno:int -> bool
-(** Whether any PTE mapping the page has its dirty bit set. *)
-
-val clear_page_dirty : t -> Kobj.pmo -> pno:int -> unit
-(** Clear the dirty bit in every PTE mapping the page (checkpoint time). *)
-
-val mappings_of_page : t -> Kobj.pmo -> pno:int -> (Pagetable.t * int) list
-(** Live (page table, vpn) pairs currently mapping the page. *)
-
 val ipc_handlers : t -> (int, Bytes.t -> Bytes.t) Hashtbl.t
 (** Volatile registry of IPC handler closures, keyed by connection object
     id. Lost on {!crash}; services re-register in their restore callbacks
@@ -187,7 +194,8 @@ val resume_cores : t -> int
 (** {2 Failure} *)
 
 val crash : t -> unit
-(** Power failure: DRAM (page tables, cached pages) is lost, the runtime
+(** Power failure: DRAM (page tables, page descriptors, cached pages) is
+    lost (every process's page table is emptied), the runtime
     capability tree is declared inconsistent and dropped. The store
     survives. After this only {!store} and recovery entry points may be
     used. *)

@@ -6,6 +6,9 @@ module Snapshot = Treesls_ckpt.Snapshot
 module Restore = Treesls_ckpt.Restore
 module State = Treesls_ckpt.State
 module Kernel = Treesls_kernel.Kernel
+module Pagetable = Treesls_kernel.Pagetable
+module Active_list = Treesls_ckpt.Active_list
+module Drain = Treesls_ckpt.Drain
 module Kobj = Treesls_cap.Kobj
 module Radix = Treesls_cap.Radix
 module Store = Treesls_nvm.Store
@@ -367,6 +370,55 @@ let run ?wear mgr =
 let ok r = r.violations = []
 let errors r = List.length (List.filter (fun v -> v.severity = Error) r.violations)
 let warnings r = List.length (List.filter (fun v -> v.severity = Warning) r.violations)
+
+(* --- volatile page descriptors ------------------------------------------ *)
+
+let check_pages mgr =
+  let kernel = Manager.kernel mgr and st = Manager.state mgr in
+  let bad = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
+  let name (pg : Pagetable.page) = Printf.sprintf "page %d/%d" pg.pmo.Kobj.pmo_id pg.pno in
+  let procs = Kernel.processes kernel in
+  List.iter
+    (fun p ->
+      Pagetable.iter
+        (fun pte ->
+          if not (List.memq pte pte.Pagetable.page.Pagetable.maps) then
+            fail "%s vpn %d: PTE missing from %s's mappings" p.Kernel.pname pte.Pagetable.vpn
+              (name pte.Pagetable.page))
+        p.Kernel.pt)
+    procs;
+  let live (pte : Pagetable.pte) =
+    List.exists
+      (fun p ->
+        match Pagetable.lookup p.Kernel.pt ~vpn:pte.Pagetable.vpn with
+        | Some q -> q == pte
+        | None -> false)
+      procs
+  in
+  let active = Active_list.entries st.State.active in
+  let queued = Drain.queued st.State.drain in
+  let owed = ref 0 in
+  Kernel.iter_pages kernel (fun pg ->
+      if not (List.for_all live pg.maps) then fail "%s lists a PTE no live page table holds" (name pg);
+      let dirty = List.length (List.filter (fun (pte : Pagetable.pte) -> pte.dirty) pg.maps) in
+      if dirty <> pg.dirty_ptes then
+        fail "%s counts %d dirty mappings, has %d" (name pg) pg.dirty_ptes dirty;
+      if pg.active <> List.memq pg active then
+        fail "%s: active flag %b disagrees with the active list" (name pg) pg.active;
+      if pg.owed then begin
+        incr owed;
+        if not (List.memq pg queued) then fail "%s owes a drain copy but is not queued" (name pg)
+      end);
+  List.iter
+    (fun (pg : Pagetable.page) ->
+      match Kernel.page kernel pg.pmo ~pno:pg.pno with
+      | Some q when q == pg -> ()
+      | Some _ | None -> fail "%s: active entry is not the kernel's descriptor" (name pg))
+    active;
+  if !owed <> Drain.backlog st.State.drain then
+    fail "drain backlog %d, but %d pages owe a copy" (Drain.backlog st.State.drain) !owed;
+  List.rev !bad
 
 let pp_violation ppf v =
   Format.fprintf ppf "[%s %s]" (String.uppercase_ascii (severity_name v.severity))

@@ -87,6 +87,16 @@ val ok : report -> bool
 val errors : report -> int
 val warnings : report -> int
 
+val check_pages : Manager.t -> string list
+(** The volatile page descriptors ({!Treesls_kernel.Pagetable.page}) agree
+    with everything that points at them: every PTE of a live process is
+    listed in its page's mappings, and every listed mapping is such a PTE;
+    each page's dirty count equals its mappings' dirty bits; the [active]
+    flags match the active list (whose entries are the kernel's
+    descriptors); and the [owed] flags match the drain queue and backlog.
+    Returns one message per violation (empty when consistent).  A pure
+    read, like {!run}, but not part of it. *)
+
 val severity_name : severity -> string
 val subsystem_name : subsystem -> string
 val pp_violation : Format.formatter -> violation -> unit

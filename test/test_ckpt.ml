@@ -2,6 +2,7 @@
    checkpoints (the §4.2/§4.3.3 rules), the STW procedure, GC, restore. *)
 
 module Kernel = Treesls_kernel.Kernel
+module Pagetable = Treesls_kernel.Pagetable
 module Kobj = Treesls_cap.Kobj
 module Radix = Treesls_cap.Radix
 module Rights = Treesls_cap.Rights
@@ -303,17 +304,17 @@ let normalize_keeps_spare () =
 
 let active_threshold () =
   let al = Active_list.create { Active_list.hot_threshold = 2; idle_limit = 4; max_cached = 10 } in
-  let pmo = Kobj.make_pmo ~id:1 ~pages:4 ~kind:Kobj.Pmo_normal in
-  Active_list.record_fault al pmo 0;
+  let pg = Pagetable.new_page (Kobj.make_pmo ~id:1 ~pages:4 ~kind:Kobj.Pmo_normal) 0 in
+  Active_list.record_fault al pg;
   check_int "below threshold" 0 (List.length (Active_list.entries al));
-  Active_list.record_fault al pmo 0;
+  Active_list.record_fault al pg;
   check_int "appended at threshold" 1 (List.length (Active_list.entries al))
 
 let active_cap () =
   let al = Active_list.create { Active_list.hot_threshold = 1; idle_limit = 4; max_cached = 2 } in
   let pmo = Kobj.make_pmo ~id:1 ~pages:8 ~kind:Kobj.Pmo_normal in
   for pno = 0 to 5 do
-    Active_list.record_fault al pmo pno
+    Active_list.record_fault al (Pagetable.new_page pmo pno)
   done;
   check_int "capped" 2 (List.length (Active_list.entries al))
 
@@ -321,7 +322,7 @@ let active_sublists_partition () =
   let al = Active_list.create { Active_list.hot_threshold = 1; idle_limit = 4; max_cached = 100 } in
   let pmo = Kobj.make_pmo ~id:1 ~pages:16 ~kind:Kobj.Pmo_normal in
   for pno = 0 to 9 do
-    Active_list.record_fault al pmo pno
+    Active_list.record_fault al (Pagetable.new_page pmo pno)
   done;
   let subs = Active_list.sublists al ~cores:3 in
   check_int "three buckets" 3 (Array.length subs);
@@ -329,8 +330,8 @@ let active_sublists_partition () =
 
 let active_drop_and_compact () =
   let al = Active_list.create { Active_list.hot_threshold = 1; idle_limit = 4; max_cached = 10 } in
-  let pmo = Kobj.make_pmo ~id:1 ~pages:4 ~kind:Kobj.Pmo_normal in
-  Active_list.record_fault al pmo 0;
+  let pg = Pagetable.new_page (Kobj.make_pmo ~id:1 ~pages:4 ~kind:Kobj.Pmo_normal) 0 in
+  Active_list.record_fault al pg;
   (match Active_list.entries al with
   | [ e ] ->
     Active_list.drop al e;
@@ -338,7 +339,7 @@ let active_drop_and_compact () =
     Active_list.compact al
   | _ -> Alcotest.fail "one entry expected");
   (* hotness cleared: takes a full threshold count to come back *)
-  Active_list.record_fault al pmo 0;
+  Active_list.record_fault al pg;
   check_int "needs re-warming" 1 (List.length (Active_list.entries al))
 
 (* ---- STW checkpoint integration ---- *)

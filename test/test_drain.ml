@@ -43,12 +43,10 @@ let make_hot_pages sys n =
   System.drain_settle sys;
   let al = st.State.active in
   for i = 0 to n - 1 do
-    match Checkpoint.resolve_region p.Kernel.vms (vpn0 + i) with
-    | Some (pmo, pno) ->
-      for _ = 1 to (Active_list.config al).Active_list.hot_threshold do
-        Active_list.record_fault al pmo pno
-      done
-    | None -> Alcotest.fail "heap page not resolved"
+    let pte = Option.get (Treesls_kernel.Pagetable.lookup p.Kernel.pt ~vpn:(vpn0 + i)) in
+    for _ = 1 to (Active_list.config al).Active_list.hot_threshold do
+      Active_list.record_fault al pte.Treesls_kernel.Pagetable.page
+    done
   done;
   ignore (System.checkpoint sys);
   System.drain_settle sys;

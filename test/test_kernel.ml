@@ -20,57 +20,169 @@ let boot () = Kernel.boot ~nvm_pages:(1 lsl 14) ~dram_pages:256 ()
 
 (* ---- Pagetable ---- *)
 
+let test_page pno = Pagetable.new_page (Kobj.make_pmo ~id:1 ~pages:64 ~kind:Kobj.Pmo_normal) pno
+
 let pt_map_lookup () =
   let pt = Pagetable.create () in
-  Pagetable.map pt ~vpn:4 ~paddr:(Paddr.nvm 9) ~writable:false;
+  let pg = test_page 0 in
+  ignore (Pagetable.map pt ~vpn:4 pg ~paddr:(Paddr.nvm 9) ~writable:false);
   (match Pagetable.lookup pt ~vpn:4 with
   | Some pte ->
     check_bool "paddr" true (Paddr.equal pte.Pagetable.paddr (Paddr.nvm 9));
-    check_bool "ro" false pte.Pagetable.writable
+    check_bool "ro" false pte.Pagetable.writable;
+    check_bool "points at its page" true (pte.Pagetable.page == pg)
   | None -> Alcotest.fail "not mapped");
   check_int "mapped count" 1 (Pagetable.mapped_count pt);
+  check_int "page lists the mapping" 1 (List.length pg.Pagetable.maps);
   Pagetable.unmap pt ~vpn:4;
-  check_bool "unmapped" true (Pagetable.lookup pt ~vpn:4 = None)
+  check_bool "unmapped" true (Pagetable.lookup pt ~vpn:4 = None);
+  check_int "page forgets the mapping" 0 (List.length pg.Pagetable.maps)
 
 let pt_double_map () =
   let pt = Pagetable.create () in
-  Pagetable.map pt ~vpn:1 ~paddr:(Paddr.nvm 1) ~writable:false;
+  ignore (Pagetable.map pt ~vpn:1 (test_page 0) ~paddr:(Paddr.nvm 1) ~writable:false);
   Alcotest.check_raises "double map" (Invalid_argument "Pagetable.map: already mapped")
-    (fun () -> Pagetable.map pt ~vpn:1 ~paddr:(Paddr.nvm 2) ~writable:false)
+    (fun () -> ignore (Pagetable.map pt ~vpn:1 (test_page 1) ~paddr:(Paddr.nvm 2) ~writable:false))
 
 let pt_dirty_tracking () =
   let pt = Pagetable.create () in
-  Pagetable.map pt ~vpn:1 ~paddr:(Paddr.nvm 1) ~writable:false;
+  let pte = Pagetable.map pt ~vpn:1 (test_page 0) ~paddr:(Paddr.nvm 1) ~writable:false in
   check_int "clean" 0 (Pagetable.dirty_count pt);
-  Pagetable.make_writable pt ~vpn:1;
+  Pagetable.make_writable pt pte;
   check_int "dirty after upgrade" 1 (Pagetable.dirty_count pt);
-  Pagetable.make_writable pt ~vpn:1;
+  Pagetable.make_writable pt pte;
   check_int "idempotent" 1 (Pagetable.dirty_count pt);
-  let protected_n = Pagetable.protect_dirty pt (fun _ _ -> true) in
+  let protected_n = Pagetable.protect_dirty pt (fun _ -> true) in
   check_int "protected" 1 protected_n;
   check_int "dirty list cleared" 0 (Pagetable.dirty_count pt);
-  match Pagetable.lookup pt ~vpn:1 with
-  | Some pte -> check_bool "read-only again" false pte.Pagetable.writable
-  | None -> Alcotest.fail "mapped"
+  check_bool "read-only again" false pte.Pagetable.writable
 
 let pt_protect_skip () =
   let pt = Pagetable.create () in
-  Pagetable.map pt ~vpn:1 ~paddr:(Paddr.dram 1) ~writable:true;
-  let n = Pagetable.protect_dirty pt (fun _ pte -> not (Paddr.is_dram pte.Pagetable.paddr)) in
+  let pte = Pagetable.map pt ~vpn:1 (test_page 0) ~paddr:(Paddr.dram 1) ~writable:true in
+  let n = Pagetable.protect_dirty pt (fun pte -> not (Paddr.is_dram pte.Pagetable.paddr)) in
   check_int "skipped" 0 n;
-  match Pagetable.lookup pt ~vpn:1 with
-  | Some pte -> check_bool "still writable" true pte.Pagetable.writable
-  | None -> Alcotest.fail "mapped"
+  check_bool "still writable" true pte.Pagetable.writable
 
 let pt_remap_preserves_bits () =
   let pt = Pagetable.create () in
-  Pagetable.map pt ~vpn:2 ~paddr:(Paddr.nvm 1) ~writable:true;
-  (Option.get (Pagetable.lookup pt ~vpn:2)).Pagetable.dirty <- true;
-  Pagetable.remap pt ~vpn:2 ~paddr:(Paddr.dram 5);
-  let pte = Option.get (Pagetable.lookup pt ~vpn:2) in
+  let pte = Pagetable.map pt ~vpn:2 (test_page 0) ~paddr:(Paddr.nvm 1) ~writable:true in
+  Pagetable.set_dirty pte;
+  Pagetable.remap pte (Paddr.dram 5);
   check_bool "new paddr" true (Paddr.equal pte.Pagetable.paddr (Paddr.dram 5));
   check_bool "writable kept" true pte.Pagetable.writable;
   check_bool "dirty kept" true pte.Pagetable.dirty
+
+(* A vpn far above any region costs a few radix nodes, not a table sized
+   by the vpn. *)
+let pt_sparse_vpn () =
+  let pt = Pagetable.create () in
+  let before = Gc.allocated_bytes () in
+  let high = Pagetable.map pt ~vpn:(1 lsl 30) (test_page 0) ~paddr:(Paddr.nvm 1) ~writable:true in
+  ignore (Pagetable.map pt ~vpn:3 (test_page 1) ~paddr:(Paddr.nvm 2) ~writable:false);
+  check_bool "under 64 KiB" true (Gc.allocated_bytes () -. before < 65536.);
+  check_bool "found" true
+    (match Pagetable.lookup pt ~vpn:(1 lsl 30) with Some p -> p == high | None -> false);
+  check_bool "neighbour absent" true (Pagetable.lookup pt ~vpn:((1 lsl 30) + 1) = None)
+
+(* Reference model: a Hashtbl from vpn to the mapping's fields, plus the
+   dirty list as (vpn, mapping id) pairs, newest first.  An entry counts
+   only while its vpn still holds the same mapping (an unmapped-then-
+   remapped vpn is a new mapping). *)
+type model_pte = { id : int; mutable m_paddr : int; mutable m_w : bool; mutable m_d : bool }
+
+let pt_vpns = [| 0; 1; 2; 5; 63; 64; 65; 4095; 4096; 1 lsl 30; (1 lsl 30) + 7 |]
+
+let pt_against_model =
+  QCheck.Test.make ~name:"pagetable = Hashtbl reference model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 120) (triple (int_bound 9) (int_bound 10) (int_bound 1000)))
+    (fun ops ->
+      let pt = Pagetable.create () in
+      let model : (int, model_pte) Hashtbl.t = Hashtbl.create 16 in
+      let mdirty = ref [] and next_id = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let agree vpn =
+        match (Pagetable.lookup pt ~vpn, Hashtbl.find_opt model vpn) with
+        | None, None -> ()
+        | Some pte, Some m ->
+          if
+            not
+              (Paddr.equal pte.Pagetable.paddr (Paddr.nvm m.m_paddr)
+              && pte.Pagetable.writable = m.m_w && pte.Pagetable.dirty = m.m_d
+              && pte.Pagetable.vpn = vpn
+              && pte.Pagetable.page.Pagetable.dirty_ptes = if m.m_d then 1 else 0)
+          then fail "vpn %d: PTE disagrees with the model" vpn
+        | Some _, None -> fail "vpn %d mapped, model has none" vpn
+        | None, Some _ -> fail "vpn %d unmapped, model maps it" vpn
+      in
+      List.iter
+        (fun (op, i, x) ->
+          let vpn = pt_vpns.(i) in
+          let pte = Pagetable.lookup pt ~vpn and m = Hashtbl.find_opt model vpn in
+          (match (op, pte, m) with
+          | 0, None, _ ->
+            let writable = x land 1 = 1 in
+            incr next_id;
+            ignore (Pagetable.map pt ~vpn (test_page vpn) ~paddr:(Paddr.nvm x) ~writable);
+            Hashtbl.replace model vpn { id = !next_id; m_paddr = x; m_w = writable; m_d = false };
+            if writable then mdirty := (vpn, !next_id) :: !mdirty
+          | 0, Some _, _ -> (
+            try
+              ignore (Pagetable.map pt ~vpn (test_page vpn) ~paddr:(Paddr.nvm x) ~writable:true);
+              fail "double map of vpn %d accepted" vpn
+            with Invalid_argument _ -> ())
+          | 2, Some pte, Some m ->
+            Pagetable.protect pte;
+            m.m_w <- false
+          | 3, Some pte, Some m ->
+            Pagetable.unprotect pte;
+            m.m_w <- true
+          | 4, Some pte, Some m ->
+            Pagetable.make_writable pt pte;
+            if not m.m_w then begin
+              m.m_w <- true;
+              mdirty := (vpn, m.id) :: !mdirty
+            end
+          | 5, Some pte, Some m ->
+            Pagetable.remap pte (Paddr.nvm x);
+            m.m_paddr <- x
+          | 6, _, _ ->
+            let keep (v : int) = (v + x) land 1 = 0 in
+            let visited = ref [] in
+            let n =
+              Pagetable.protect_dirty pt (fun pte ->
+                  visited := pte.Pagetable.vpn :: !visited;
+                  keep pte.Pagetable.vpn)
+            in
+            let expect = ref [] and expect_n = ref 0 in
+            List.iter
+              (fun (v, id) ->
+                match Hashtbl.find_opt model v with
+                | Some m when m.id = id && m.m_w ->
+                  expect := v :: !expect;
+                  if keep v then begin
+                    m.m_w <- false;
+                    incr expect_n
+                  end
+                | Some _ | None -> ())
+              !mdirty;
+            mdirty := [];
+            if !visited <> !expect || n <> !expect_n then fail "protect_dirty visited the wrong set"
+          | 7, Some pte, Some m ->
+            Pagetable.set_dirty pte;
+            m.m_d <- true
+          | 8, Some _, Some _ ->
+            Pagetable.unmap pt ~vpn;
+            Hashtbl.remove model vpn
+          | 9, Some pte, Some m ->
+            Pagetable.clean pte;
+            m.m_d <- false
+          | _, _, _ -> ());
+          if Pagetable.dirty_count pt <> List.length !mdirty then fail "dirty_count drifted";
+          if Pagetable.mapped_count pt <> Hashtbl.length model then fail "mapped_count drifted";
+          Array.iter agree pt_vpns)
+        ops;
+      true)
 
 (* ---- boot census (Table 2 Default row) ---- *)
 
@@ -178,12 +290,11 @@ let remap_updates_all () =
   Kernel.touch_write k p ~vpn;
   let pmo = (heap_region p).Kobj.vr_pmo in
   let new_paddr = Paddr.dram 42 in
-  Kernel.remap_page k pmo ~pno:0 new_paddr;
+  Pagetable.remap_page (Option.get (Kernel.page k pmo ~pno:0)) new_paddr;
   (match Radix.get pmo.Kobj.pmo_radix 0 with
   | Some pa -> check_bool "radix updated" true (Paddr.equal pa new_paddr)
   | None -> Alcotest.fail "page missing");
-  let pt = Kernel.pagetable k p.Kernel.vms in
-  match Pagetable.lookup pt ~vpn with
+  match Pagetable.lookup p.Kernel.pt ~vpn with
   | Some pte -> check_bool "pte updated" true (Paddr.equal pte.Pagetable.paddr new_paddr)
   | None -> Alcotest.fail "pte missing"
 
@@ -193,9 +304,10 @@ let dirty_bit_via_rmap () =
   let vpn = Kernel.grow_heap k p ~pages:1 in
   Kernel.touch_write k p ~vpn;
   let pmo = (heap_region p).Kobj.vr_pmo in
-  check_bool "dirty set" true (Kernel.page_dirty k pmo ~pno:0);
-  Kernel.clear_page_dirty k pmo ~pno:0;
-  check_bool "cleared" false (Kernel.page_dirty k pmo ~pno:0);
+  let pg = Option.get (Kernel.page k pmo ~pno:0) in
+  check_bool "dirty set" true (Pagetable.page_dirty pg);
+  Pagetable.clear_page_dirty pg;
+  check_bool "cleared" false (Pagetable.page_dirty pg);
   check_int "one mapping" 1 (List.length (Kernel.mappings_of_page k pmo ~pno:0))
 
 (* ---- eternal PMOs ---- *)
@@ -304,6 +416,8 @@ let () =
           Alcotest.test_case "dirty tracking" `Quick pt_dirty_tracking;
           Alcotest.test_case "protect can skip" `Quick pt_protect_skip;
           Alcotest.test_case "remap preserves bits" `Quick pt_remap_preserves_bits;
+          Alcotest.test_case "sparse vpn stays small" `Quick pt_sparse_vpn;
+          QCheck_alcotest.to_alcotest pt_against_model;
         ] );
       ( "boot",
         [

@@ -13,9 +13,17 @@ module Kv_app = Treesls_apps.Kv_app
 module Kvstore = Treesls_apps.Kvstore
 module Rng = Treesls_util.Rng
 module Metrics = Treesls_obs.Metrics
+module Audit = Treesls_audit.Audit
+module Pagetable = Treesls_kernel.Pagetable
+module Kobj = Treesls_cap.Kobj
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* The volatile page descriptors agree with the page tables, the active
+   list and the drain (run after every restore). *)
+let check_pages sys =
+  Alcotest.(check (list string)) "page descriptors" [] (Audit.check_pages (System.manager sys))
 
 (* ---- exact rollback: state equals last committed checkpoint ---- *)
 
@@ -35,6 +43,7 @@ let exact_rollback () =
     Kv_app.set app ~key:(Printf.sprintf "key%08d" i) ~value:"OVERWRITTEN"
   done;
   let _ = System.crash_and_recover sys in
+  check_pages sys;
   Kv_app.refresh app;
   for i = 0 to 49 do
     check_bool (Printf.sprintf "key %d present" i) true (Kv_app.get_i app i <> None)
@@ -69,6 +78,7 @@ let loses_at_most_one_interval () =
     | None -> ())
   done;
   let _ = System.crash_and_recover sys in
+  check_pages sys;
   Kv_app.refresh app;
   (* everything up to the last commit is present *)
   for j = 1 to !last_committed_i do
@@ -87,6 +97,7 @@ let exit_rolled_back () =
   Kernel.exit_process k p;
   check_bool "gone before crash" true (Kernel.find_process k ~name:"phoenix-proc" = None);
   let _ = System.crash_and_recover sys in
+  check_pages sys;
   let k = System.kernel sys in
   check_bool "resurrected by rollback" true (Kernel.find_process k ~name:"phoenix-proc" <> None)
 
@@ -100,6 +111,7 @@ let exit_committed () =
   Kernel.exit_process k p;
   ignore (System.checkpoint sys);
   let _ = System.crash_and_recover sys in
+  check_pages sys;
   let k = System.kernel sys in
   check_bool "stays gone" true (Kernel.find_process k ~name:"really-gone" = None)
 
@@ -122,6 +134,7 @@ let crash_in_allocator phase () =
    with Warea.Crashed _ -> ());
   System.crash sys;
   let _ = System.recover sys in
+  check_pages sys;
   Kv_app.refresh app;
   for i = 0 to 19 do
     check_bool "committed keys survive torn journal" true (Kv_app.get_i app i <> None)
@@ -130,7 +143,8 @@ let crash_in_allocator phase () =
   (* the system keeps working *)
   Kv_app.set_i app 99;
   ignore (System.checkpoint sys);
-  check_bool "alive after recovery" true (Kv_app.get_i app 99 <> None)
+  check_bool "alive after recovery" true (Kv_app.get_i app 99 <> None);
+  check_pages sys
 
 (* ---- shared memory between processes ---- *)
 
@@ -157,6 +171,7 @@ let shared_pmo_cow () =
   Kernel.write_bytes k a ~vaddr:(va * psz) (Bytes.of_string "AAAAAA");
   Kernel.write_bytes k b ~vaddr:(vb * psz) (Bytes.of_string "BBBBBB");
   let _ = System.crash_and_recover sys in
+  check_pages sys;
   let k = System.kernel sys in
   let a = Option.get (Kernel.find_process k ~name:"sharer-a") in
   let b = Option.get (Kernel.find_process k ~name:"sharer-b") in
@@ -167,7 +182,56 @@ let shared_pmo_cow () =
   (* still shared after recovery *)
   Kernel.write_bytes k b ~vaddr:(vb * psz) (Bytes.of_string "post-x");
   Alcotest.(check string) "still shared" "post-x"
-    (Bytes.to_string (Kernel.read_bytes k a ~vaddr:(va * psz) ~len:6))
+    (Bytes.to_string (Kernel.read_bytes k a ~vaddr:(va * psz) ~len:6));
+  check_pages sys
+
+(* ---- a sharer that writes and exits before the next checkpoint ---- *)
+
+(* B dirties a page it shares with A and exits before the checkpoint.  Its
+   mapping leaves with it, but its write must not: the checkpoint still
+   captures the page, by copy-on-write when it lives on NVM and by
+   stop-and-copy when it is DRAM-cached. *)
+let writer_exits_before_checkpoint ~dram () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let a = Kernel.create_process k ~name:"keeper" ~threads:1 ~prio:5 in
+  let b = Kernel.create_process k ~name:"leaver" ~threads:1 ~prio:5 in
+  let pmo =
+    Kobj.make_pmo ~id:(Treesls_cap.Id_gen.next (Kernel.ids k)) ~pages:1 ~kind:Kobj.Pmo_normal
+  in
+  let va = Kernel.map_shared k a pmo ~writable:true in
+  let vb = Kernel.map_shared k b pmo ~writable:true in
+  let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
+  let in_dram () = Treesls_nvm.Paddr.is_dram (Option.get (Treesls_cap.Radix.get pmo.Kobj.pmo_radix 0)) in
+  Kernel.write_bytes k a ~vaddr:(va * psz) (Bytes.of_string "from-a");
+  ignore (System.checkpoint sys);
+  (* A's repeated faults make the page hot: it migrates into the DRAM
+     cache, and one more checkpoint leaves it clean there *)
+  let rounds = ref 0 in
+  while dram && (not (in_dram ())) && !rounds < 8 do
+    incr rounds;
+    Kernel.write_bytes k a ~vaddr:(va * psz) (Bytes.of_string "from-a");
+    ignore (System.checkpoint sys)
+  done;
+  if dram then ignore (System.checkpoint sys);
+  check_bool "page residence" dram (in_dram ());
+  Kernel.write_bytes k b ~vaddr:(vb * psz) (Bytes.of_string "from-b");
+  Kernel.exit_process k b;
+  let maps = Kernel.mappings_of_page k pmo ~pno:0 in
+  check_bool "only A's mapping is left" true
+    (match (maps, Pagetable.lookup a.Kernel.pt ~vpn:va) with
+    | [ pte ], Some a_pte -> pte == a_pte
+    | _ -> false);
+  check_pages sys;
+  let r = System.checkpoint sys in
+  check_int "stop-and-copied" (if dram then 1 else 0) r.Treesls_ckpt.Report.dram_dirty_copied;
+  let _ = System.crash_and_recover sys in
+  check_pages sys;
+  let k = System.kernel sys in
+  let a = Option.get (Kernel.find_process k ~name:"keeper") in
+  Alcotest.(check string) "B's bytes survive" "from-b"
+    (Bytes.to_string (Kernel.read_bytes k a ~vaddr:(va * psz) ~len:6));
+  check_pages sys
 
 (* ---- ping-pong (paper 7.2's second functional program) ---- *)
 
@@ -192,6 +256,7 @@ let ping_pong () =
   let calls_before = conn.Treesls_cap.Kobj.ic_calls in
   ignore (System.checkpoint sys);
   let _ = System.crash_and_recover sys in
+  check_pages sys;
   register ();
   (* the connection's served-call counter is part of the checkpointed
      state and survived *)
@@ -248,7 +313,8 @@ let prop_crash_equals_committed_model =
       Hashtbl.fold
         (fun key value acc -> acc && Kv_app.get app ~key = Some value)
         !committed true
-      && Kvstore.count (Kv_app.kv app) = Hashtbl.length !committed)
+      && Kvstore.count (Kv_app.kv app) = Hashtbl.length !committed
+      && Audit.check_pages (System.manager sys) = [])
 
 let prop_repeated_crashes =
   QCheck.Test.make ~name:"system: repeated crash/recover cycles stay consistent" ~count:6
@@ -277,7 +343,8 @@ let prop_repeated_crashes =
         Hashtbl.reset model;
         Hashtbl.iter (Hashtbl.replace model) !committed;
         Manager.on_checkpoint (System.manager sys) (fun () -> committed := Hashtbl.copy model);
-        Hashtbl.iter (fun k v -> if Kv_app.get app ~key:k <> Some v then ok := false) !committed
+        Hashtbl.iter (fun k v -> if Kv_app.get app ~key:k <> Some v then ok := false) !committed;
+        if Audit.check_pages (System.manager sys) <> [] then ok := false
       done;
       !ok)
 
@@ -387,6 +454,10 @@ let () =
           Alcotest.test_case "exit rolled back" `Quick exit_rolled_back;
           Alcotest.test_case "exit committed stays" `Quick exit_committed;
           Alcotest.test_case "shared PMO copy-on-write" `Quick shared_pmo_cow;
+          Alcotest.test_case "exited writer captured (NVM)" `Quick
+            (writer_exits_before_checkpoint ~dram:false);
+          Alcotest.test_case "exited writer captured (DRAM)" `Quick
+            (writer_exits_before_checkpoint ~dram:true);
           Alcotest.test_case "ping-pong across crash" `Quick ping_pong;
         ] );
       ( "torn-journal",
